@@ -59,7 +59,6 @@ Rates measure(std::uint32_t n_names, bool hashed) {
   // workloads; this one holds exactly one send connection per name.
   c.connections = static_cast<std::size_t>(n_names) + 64;
   c.max_pollsets = 1;
-  c.pollset_capacity = 8;
   c.dir_buckets = hashed ? 0 : 1;  // 0 = derived ~max_lnvcs/4 buckets
   sim::Simulator simulator{sim::MachineModel::balance21000()};
   sim::SimPlatform platform(simulator);

@@ -12,7 +12,6 @@
 #include "mpf/core/rendezvous.hpp"
 #include "mpf/shm/region.hpp"
 #include "mpf/sync/spinlock.hpp"
-#include "mpf/sync/ticket_lock.hpp"
 
 namespace {
 
@@ -103,7 +102,7 @@ void BM_RendezvousHandoff(benchmark::State& state) {
 }
 BENCHMARK(BM_RendezvousHandoff)->Threads(2)->UseRealTime();
 
-/// Lock-type ablation: uncontended acquire/release.
+/// Spinlock cost: uncontended acquire/release.
 template <typename Lock>
 void BM_LockUncontended(benchmark::State& state) {
   Lock lock;
@@ -114,9 +113,8 @@ void BM_LockUncontended(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LockUncontended<mpf::sync::SpinLock>);
-BENCHMARK(BM_LockUncontended<mpf::sync::TicketLock>);
 
-/// Lock-type ablation: contended increment from several threads.
+/// Spinlock cost: contended increment from several threads.
 template <typename Lock>
 void BM_LockContended(benchmark::State& state) {
   static Lock* lock = nullptr;
@@ -137,7 +135,6 @@ void BM_LockContended(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LockContended<mpf::sync::SpinLock>)->Threads(4)->UseRealTime();
-BENCHMARK(BM_LockContended<mpf::sync::TicketLock>)->Threads(4)->UseRealTime();
 
 }  // namespace
 

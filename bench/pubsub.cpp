@@ -1,21 +1,21 @@
 // Ablation: poll sets + pulses vs receive_any for a wide pub/sub server.
 //
 // One server terminates C request circuits fed by 10 client processes
-// (C/10 circuits each) — the "one daemon, thousands of clients" shape
-// the paper's receive_any cannot scale to: its rotation probes listed
-// circuits one locked readiness check (a full receive fixed path) at a
-// time, so a delivery costs O(C / ready) probes.  A poll set inverts the
-// direction: the sender's wake enqueues the ready circuit on the set's
-// lock-free ready list, and the server's pollset_wait pops it in O(1)
-// regardless of C (DESIGN.md §14).  Pulses carry the request codes, so
-// the hot path allocates no blocks at all.
+// (C/10 circuits each) — the "one daemon, thousands of clients" shape.
+// Both waits run the same armed-watch protocol (DESIGN.md §14): a send
+// fires the watch on the server's connection, marking the circuit in the
+// waiter's ready bitmap, and the wait pops and revalidates only marked
+// circuits, so a delivery costs O(ready) regardless of C.  What still
+// separates the series: receive_any arms its C watches (one locked
+// revalidation each, a full receive fixed path) on its first call, inside
+// the measurement window, while pollset_add armed them before it; and
+// pulses carry the request codes, so that hot path allocates no blocks.
 //
 // Each client issues requests round-robin over its circuits and waits
 // for the server's ack before the next one (a classic RPC daemon), so at
-// most 10 circuits are ready at any instant and the receive_any rotation
-// really pays its scan.  The figure sweeps C and plots served events per
-// second from the server's measurement window (opens and the join
-// barrier excluded).
+// most 10 circuits are ready at any instant.  The figure sweeps C and
+// plots served events per second from the server's measurement window
+// (opens and the join barrier excluded).
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -68,7 +68,7 @@ double events_per_sec(std::uint32_t circuits, bool pulses) {
   // the join barrier; the derived 8x default would dwarf the arena.
   c.connections = 2 * static_cast<std::size_t>(circuits) + 256;
   c.max_pollsets = 2;
-  c.pollset_capacity = circuits + 8;
+
   sim::Simulator simulator{sim::MachineModel::balance21000()};
   sim::SimPlatform platform(simulator);
   shm::HeapRegion region(c.derived_arena_bytes());

@@ -112,9 +112,6 @@ struct Config {
   /// Poll sets carved at init (epoll-like multi-circuit wait objects; see
   /// Facility::pollset_create).  0 derives min(max_processes, 8).
   std::uint32_t max_pollsets = 0;
-  /// Member circuits one poll set can hold.  0 derives
-  /// min(max_lnvcs, 65536).
-  std::uint32_t pollset_capacity = 0;
 
   /// Failure-suspicion threshold in nanoseconds (wall time natively,
   /// virtual time under the simulator).  A waiter that has watched the
@@ -146,7 +143,8 @@ struct Config {
   /// Nanoseconds a parking waiter spins before sleeping (futex natively,
   /// virtual wait resource under the simulator, poll/nap fallback
   /// elsewhere).  Pipeline-cadence hand-offs that land within the spin
-  /// window never pay a syscall.  Only read while lockfree_fcfs is on.
+  /// window never pay a syscall.  Read by every park: lock-free FCFS
+  /// receivers, receive_any and pollset_wait.
   std::uint64_t park_spin_ns = 1'000'000;  // 1 ms
 
   /// Arena bytes needed for this configuration (fills in the derived

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -143,11 +144,13 @@ struct FacilityStats {
   std::uint64_t wakes = 0;           ///< unparks issued (one claimant each)
   std::uint64_t spurious_wakes = 0;  ///< woken parks that claimed nothing
   std::uint64_t lockfree_fast_sends = 0;  ///< sends that took the CAS path
-  std::uint64_t any_rescans = 0;  ///< receive_any connection-snapshot refreshes
+  /// Circuits receive_any / pollset_wait revalidated under their lock
+  /// (arming sweeps plus popped ready marks; idle circuits cost nothing).
+  std::uint64_t any_rescans = 0;
   // Name-directory / pollset / pulse counters (see DESIGN.md §14).
   std::uint64_t dir_lookups = 0;     ///< directory name probes
   std::uint64_t dir_collisions = 0;  ///< extra chain nodes walked on probes
-  std::uint64_t pollset_wakes = 0;   ///< pollset ready pushes delivered
+  std::uint64_t pollset_wakes = 0;   ///< poll-set watches fired
   std::uint64_t pulses_sent = 0;     ///< send_pulse successes
   std::uint64_t pulses_coalesced = 0;  ///< pulses merged into a pending code
 };
@@ -245,8 +248,31 @@ struct OrphanInfo {
   std::uint32_t views = 0;       ///< active zero-copy views held
 };
 
+namespace detail {
+/// Process-private receive_any cache of one pid: the list its last arming
+/// pass covered, a slot -> entry table sized by that list, and the
+/// ReadySet::epoch of that pass.  While list and epoch match, every listed
+/// circuit is known watched.
+struct AnyMemo {
+  struct Entry {
+    std::uint32_t slot1 = 0;  ///< descriptor slot + 1; 0 = empty entry
+    std::uint32_t index = 0;  ///< first position of the slot in `ids`
+    /// Idle with its last sender dead when last revalidated.  Kept across
+    /// calls: an orphaned circuit is never fired again, so this verdict is
+    /// the only memory of it.
+    bool orphaned = false;
+  };
+  std::vector<LnvcId> ids;
+  std::vector<Entry> table;  ///< open-addressed, power-of-two size
+  std::uint32_t distinct = 0;  ///< distinct slots listed
+  std::uint32_t orphaned = 0;  ///< entries with `orphaned` set
+  std::uint64_t epoch = ~std::uint64_t{0};
+};
+}  // namespace detail
+
 /// Cheap per-process handle to a facility living in a shared region.  Copy
-/// freely; all state is in the region.
+/// freely; all shared state is in the region (copies share one
+/// process-private receive_any cache, which the region validates).
 class Facility {
  public:
   /// Format `region` as a fresh facility (the paper's init()).  The region
@@ -335,16 +361,24 @@ class Facility {
   Status check(ProcessId pid, LnvcId id, bool* out);
   /// Blocking receive from whichever of `ids` delivers first; the index
   /// of the winning LNVC within `ids` is written to *out_index.  `pid`
-  /// must hold a receive connection on every listed LNVC.  Scanning is
-  /// round-robin from a rotating start, so no circuit starves.
+  /// must hold a receive connection on every listed LNVC.
+  ///
+  /// The first call over a list arms a watch on each listed connection
+  /// (one descriptor lock each); later calls lock only circuits that a
+  /// send, a close or an orphaning has fired since.  Fairness: ready
+  /// circuits are served in rotation by descriptor slot from a per-process
+  /// cursor that persists across calls and moves past each circuit that
+  /// delivers, so no ready circuit waits more than one lap.  One call per
+  /// process at a time.  Status::lnvc_orphaned once every listed circuit
+  /// lost its last sender to a failure and holds nothing deliverable.
   Status receive_any(ProcessId pid, std::span<const LnvcId> ids, void* buf,
                      std::size_t cap, std::size_t* out_len,
                      std::size_t* out_index);
   /// receive_any with a deadline: Status::timed_out if none of `ids`
-  /// delivers within `timeout_ns` (virtual time under the simulator).
-  /// The rotation cursor advances only on delivery, so a timeout does not
-  /// reset fairness: the next call resumes scanning where this one left
-  /// off.
+  /// delivers within `timeout_ns` (virtual time under the simulator);
+  /// 0 delivers whatever is ready now and never blocks.  The rotation
+  /// cursor advances only on delivery, so a timeout does not reset
+  /// fairness.
   Status receive_any_for(ProcessId pid, std::span<const LnvcId> ids,
                          void* buf, std::size_t cap, std::size_t* out_len,
                          std::size_t* out_index, std::uint64_t timeout_ns);
@@ -352,25 +386,32 @@ class Facility {
   // --- poll sets and pulses (DESIGN.md §14) -----------------------------
   /// Create an empty poll set owned by `pid`; its id is written to *out.
   /// A poll set is an epoll-like wait object: senders on member circuits
-  /// wake it exactly once per arming via a lock-free ready push, so one
-  /// server can wait on thousands of circuits without receive_any
-  /// rotation.  Destroyed explicitly or when the owner is reaped.
+  /// fire its watch once per arming, marking the circuit in its ready
+  /// bitmap, so a wait costs O(ready) however many circuits it holds.
+  /// Destroyed explicitly or when the owner is reaped.
   Status pollset_create(ProcessId pid, PollSetId* out);
   /// Destroy a poll set: detaches every member and wakes any waiter
   /// (which returns Status::closed).  Any process may destroy.
   Status pollset_destroy(ProcessId pid, PollSetId ps);
   /// Add LNVC `id` to the poll set.  A circuit belongs to at most one
-  /// poll set (Status::rejected otherwise); `pid` must hold a receive
-  /// connection on it.  The circuit is primed ready, so a pollset_wait
+  /// poll set (Status::rejected otherwise); `pid` must own the set and
+  /// hold a receive connection on it.  Membership is that connection:
+  /// when the owner closes it (or the circuit is destroyed) the circuit
+  /// silently leaves the set, pollset_wait stops reporting it, and another
+  /// set may add it.  The circuit is primed ready, so a pollset_wait
   /// issued after add never misses messages that were already queued.
   Status pollset_add(ProcessId pid, PollSetId ps, LnvcId id);
-  /// Remove LNVC `id` from the poll set.
+  /// Remove LNVC `id` from the poll set (Status::not_connected if it is
+  /// not a member).
   Status pollset_remove(ProcessId pid, PollSetId ps, LnvcId id);
-  /// Wait for a member circuit to become ready (deliverable FCFS message
-  /// or pending pulse); its id is written to *out.  Level-triggered: a
-  /// circuit left undrained is returned again by the next wait.  One
-  /// waiter at a time (Status::busy otherwise).  timeout_ns bounds the
-  /// wait (kNoTimeout = forever; 0 = poll).
+  /// Wait for a member circuit to become ready; its id is written to
+  /// *out.  Ready is judged for the owner's own receive connection: a
+  /// queued FCFS message, a broadcast message the owner has not read yet,
+  /// or a pending pulse.  Broadcast messages that only other receivers
+  /// still have to read do not count.  Level-triggered: a circuit left
+  /// undrained is returned again, in the same slot rotation as
+  /// receive_any.  One waiter at a time (Status::busy otherwise).
+  /// timeout_ns bounds the wait (kNoTimeout = forever; 0 = poll).
   Status pollset_wait(ProcessId pid, PollSetId ps, LnvcId* out,
                       std::uint64_t timeout_ns);
   /// Send a pulse: a tiny no-reply notification carrying just `code`.
@@ -469,7 +510,11 @@ class Facility {
 
   Facility(shm::Arena arena, detail::FacilityHeader* header,
            Platform& platform)
-      : arena_(arena), header_(header), platform_(&platform) {}
+      : arena_(arena),
+        header_(header),
+        platform_(&platform),
+        any_memo_(std::make_shared<std::vector<detail::AnyMemo>>(
+            header->max_processes)) {}
 
   // Implementation helpers (facility.cpp / lnvc.cpp / pool.cpp).
   detail::LnvcDesc* table() const noexcept;
@@ -502,15 +547,32 @@ class Facility {
   detail::LnvcDesc* free_pop(ProcessId pid, ProcessId* dead);
   void free_push(ProcessId pid, detail::LnvcDesc& d);
 
-  // Poll sets + pulses (lnvc.cpp).
+  // Ready sets, watches, poll sets and pulses (pollset.cpp; DESIGN.md
+  // §14).  watch_* and conn_ready need the descriptor lock held.
   detail::PollSet* pollset_table() const noexcept;
-  /// Sender-side pollset wake: if `d` belongs to a pollset and wins the
-  /// ready_armed 1->0 exchange, push it onto the ready stack and unpark
-  /// the registered waiter.  Lock-free; callable from the CAS fast path.
-  void pollset_signal(detail::LnvcDesc& d);
-  /// Deliverability probe for pollset_wait: drains the injection stack and
-  /// reports whether `d` has an FCFS-deliverable message or pending pulse.
-  bool pollset_ready_locked(detail::LnvcDesc& d);
+  detail::ReadySet& any_set(ProcessId pid) const noexcept;  ///< receive_any's
+  detail::ReadyBits ready_bits(const detail::ReadySet& rs) const noexcept;
+  /// Take the next ready slot at or after `from`, wrapping; false if none.
+  bool pop_ready(const detail::ReadyBits& b, std::uint32_t from,
+                 std::uint32_t* slot) const noexcept;
+  void reset_ready_set(detail::ReadySet& rs) const noexcept;
+  /// Can `c` receive now (`pulses`: pending pulses count)?  Drains first.
+  bool conn_ready(detail::LnvcDesc& d, const detail::Connection& c,
+                  bool pulses);
+  /// Fire the `mask` watches armed on `c`: mark, wake the waiters, disarm.
+  void watch_fire(detail::LnvcDesc& d, detail::Connection& c,
+                  std::uint32_t mask);
+  void watch_fire_all(detail::LnvcDesc& d, std::uint32_t mask);
+  /// Arm `bit` on `c` (idempotent), then recheck for a lock-free push that
+  /// missed the arming: true = ready after all, left disarmed.
+  bool watch_arm(detail::LnvcDesc& d, detail::Connection& c,
+                 std::uint32_t bit, bool pulses);
+  void watch_disarm(detail::LnvcDesc& d, detail::Connection& c,
+                    std::uint32_t bits);
+  /// Park until a fire marks `b` or `deadline` passes; each park is capped
+  /// at suspicion_ns, then dead holders of watched locks are seized.
+  void park_on_set(ProcessId pid, const detail::ReadyBits& b,
+                   std::uint64_t deadline);
   /// Destroy `ps` with its lock already held (shared by pollset_destroy
   /// and the reap sweep); unlocks before returning.
   void pollset_destroy_locked(ProcessId pid, detail::PollSet& ps);
@@ -599,6 +661,9 @@ class Facility {
   /// Drop the probe token if this process holds it (descriptor lock held);
   /// call on every wake so a departing waiter never strands the token.
   void probe_release(detail::LnvcDesc& d, ProcessId pid);
+  /// Reap the first dead sender on `d` (descriptor lock held; dropped
+  /// around the reap and retaken).
+  void reap_dead_sender(detail::LnvcDesc& d, ProcessId pid);
   // Lock-free FCFS fast path (lnvc.cpp; DESIGN.md §12).
   /// Splice the injection stack into the FIFO in push order (descriptor
   /// lock held): exchange(null), pointer-reverse, link at msg_tail,
@@ -696,6 +761,8 @@ class Facility {
   mutable shm::Arena arena_{};
   detail::FacilityHeader* header_ = nullptr;
   Platform* platform_ = nullptr;
+  /// receive_any caches, indexed by pid (each touched only by its pid).
+  std::shared_ptr<std::vector<detail::AnyMemo>> any_memo_;
 };
 
 }  // namespace mpf

@@ -42,7 +42,10 @@ enum class Invariant : std::uint32_t {
   views,         ///< view-table / pin / broadcast-claim accounting
   quiescence,    ///< armed journals or parked/waiting state at rest
   directory,     ///< name-directory chains, descriptor freelist
-                 ///  conservation, pollset membership
+                 ///  conservation
+  watches,       ///< multi-circuit waits: armed counts vs. connection
+                 ///  watches, poll-set membership, ready-set bitmaps,
+                 ///  no lost wake at rest
 };
 
 [[nodiscard]] const char* invariant_name(Invariant c) noexcept;

@@ -53,31 +53,50 @@ struct alignas(64) DirBucket {
                                         ///< a dead holder (mpf_inspect)
 };
 
-/// An epoll-like multi-circuit wait object (Facility::pollset_*).  The
-/// member table and the ready-stack link/queued arrays live in per-pollset
-/// arena carves (members / ready_next / queued below) so a recycled LNVC
-/// slot can never corrupt another pollset's chain: ready entries are
-/// *member indices* into storage this pollset owns.
-///
-/// Wake protocol: a sender that made a message or pulse deliverable loads
-/// the circuit's pollset_id, wins the ready_armed 1->0 exchange (exactly
-/// one push per arming), sets queued[m] 1 (skip if already queued), links
-/// ready_next[m] and CAS-pushes member m onto ready_head, then unparks the
-/// registered waiter's WaitNode.  pollset_wait pops the whole stack under
-/// `lock` (single consumer), so push CAS vs pop exchange is the only
-/// lock-free pairing.
+/// One waiter's ready set (DESIGN.md §14): one per poll set, plus one per
+/// process for receive_any.  Its `bits` carve holds three bitmaps,
+/// FacilityHeader::summary_words + 2 * ready_words u64s:
+///   summary  bit w: ready word w may be non-zero
+///   ready    bit s: slot s was fired (or left ready) since its last pop
+///   member   bit s: slot s is watched by this set
+/// Per watched slot, the watching connection is armed, or the slot is
+/// marked ready, or the set's waiter is revalidating it right now.
+struct ReadySet {
+  /// Bumped whenever a member bit is cleared, so a cached "every listed
+  /// circuit is watched" verdict (detail::AnyMemo) expires.
+  std::atomic<std::uint64_t> epoch;
+  std::atomic<std::uint32_t> cursor;  ///< rotation start: slot index
+  shm::Offset bits;
+};
+
+/// Pointers into one ReadySet's carve (all atomic: firers, the waiter and
+/// the oracle touch them concurrently).
+struct ReadyBits {
+  std::atomic<std::uint64_t>* summary;
+  std::atomic<std::uint64_t>* ready;
+  std::atomic<std::uint64_t>* member;
+};
+
+/// Mark `slot` ready: the ready bit first, then its summary bit, so a
+/// consumer that sees the summary bit finds the word populated.
+inline void mark_ready(const ReadyBits& b, std::uint32_t slot) noexcept {
+  const std::uint32_t w = slot >> 6;
+  b.ready[w].fetch_or(std::uint64_t{1} << (slot & 63),
+                      std::memory_order_seq_cst);
+  b.summary[w >> 6].fetch_or(std::uint64_t{1} << (w & 63),
+                             std::memory_order_seq_cst);
+}
+
+/// An epoll-like multi-circuit wait object (Facility::pollset_*).  Members
+/// are the owner's receive connections (Connection::pollset), mirrored in
+/// the ready set's member bitmap so destroy and the oracle can find them.
 struct alignas(64) PollSet {
-  sync::SpinLock lock;       ///< guards members/n_members/in_use/owner
+  sync::SpinLock lock;       ///< guards in_use/owner and the member bits
   std::uint32_t in_use;
   std::uint32_t generation;  ///< bumped on every destroy (stale-ref guard)
   std::uint32_t owner_pid;   ///< creator; destroyed when the owner is reaped
-  std::uint32_t n_members;   ///< live prefix of the member table
-  std::atomic<std::uint32_t> ready_head;  ///< member index + 1; 0 = empty
   std::atomic<std::uint32_t> waiter_pid;  ///< pid + 1 parked in wait; 0 none
-  std::atomic<std::uint64_t> wakes;       ///< ready pushes that unparked
-  shm::Offset members;     ///< u32[capacity]: LNVC slot index + 1 (0 = hole)
-  shm::Offset ready_next;  ///< u32[capacity]: ready-stack links (member+1)
-  shm::Offset queued;      ///< atomic u32[capacity]: member is on the stack
+  ReadySet rs;
 };
 
 /// One message-payload block: a link word followed by `block_payload`
@@ -140,7 +159,14 @@ struct Connection {
   std::uint32_t kind;  ///< 0 = sender, else static_cast<u32>(Protocol)
   /// BROADCAST only: next message this receiver will read; null = at tail.
   shm::Offset bcast_head;
+  /// Ready-set watches of a receive connection, under the descriptor lock.
+  /// `armed` holds kWatch* bits: the next event that could make this
+  /// connection deliverable fires those sets and clears the bits.
+  std::uint32_t armed;
+  std::uint32_t pollset;  ///< PollSet index + 1 this is a member of; 0 none
 
+  static constexpr std::uint32_t kWatchAny = 1u << 0;   ///< owner's receive_any set
+  static constexpr std::uint32_t kWatchPoll = 1u << 1;  ///< the set in `pollset`
   static constexpr std::uint32_t kSender = 0;
   [[nodiscard]] bool is_sender() const noexcept { return kind == kSender; }
   [[nodiscard]] bool is_fcfs() const noexcept {
@@ -179,17 +205,10 @@ struct LnvcDesc {
   std::uint32_t free_claimant;  ///< pid owning a kClaimed transition
   std::uint32_t free_next;      ///< freelist link: slot index + 1
 
-  // Poll-set membership (at most one pollset per circuit).  pollset_id is
-  // the commit point (seq_cst, written last) because fast-path senders
-  // read these with no lock held; pollset_mslot/pollset_gen are written
-  // before it under the descriptor lock.
-  std::atomic<std::uint32_t> pollset_id;     ///< PollSet index + 1; 0 none
-  std::atomic<std::uint32_t> pollset_mslot;  ///< member index in the pollset
-  std::atomic<std::uint32_t> pollset_gen;    ///< PollSet::generation at add
-  /// 1 = the next deliverable event pushes this circuit onto the pollset
-  /// ready stack (exchange 1->0 elects exactly one pusher); re-armed by
-  /// pollset_wait after it finds the circuit idle.
-  std::atomic<std::uint32_t> ready_armed;
+  /// Watch bits armed across the connections, changed under `lock`.  The
+  /// lock-free send loads it seq_cst after its push (Dekker against the
+  /// arm-then-recheck of a waiter) and locks to fire only when non-zero.
+  std::atomic<std::uint32_t> armed;
 
   /// Pending pulses (send_pulse), coalesced by code.  Under `lock`.
   PulseSlot pulses[kPulseSlots];
@@ -332,9 +351,8 @@ struct alignas(64) NodeStats {
 /// Per-process allocator cache: a bounded magazine of blocks and message
 /// headers, refilled from and flushed to the process's home shard in
 /// batches.  A send/receive cycle that hits the magazine touches no shared
-/// shard lock at all.  Also carries the process's receive_any() rotation
-/// cursor.  One per process id, in the arena, so exhaustion sweeps (and
-/// fork()ed siblings) can reach every magazine.
+/// shard lock at all.  One per process id, in the arena, so exhaustion
+/// sweeps (and fork()ed siblings) can reach every magazine.
 struct alignas(64) ProcCache {
   sync::SpinLock lock;  ///< guards the chains below (platform-mediated)
   shm::Offset block_head;
@@ -351,9 +369,6 @@ struct alignas(64) ProcCache {
   std::atomic<std::uint64_t> misses;   ///< had to visit a shard
   std::atomic<std::uint64_t> flushes;  ///< frees redirected (magazine full)
   std::atomic<std::uint64_t> raids;    ///< drained by an exhausted peer
-  /// receive_any() round-robin scan start (persisted per process so
-  /// repeated calls do not bias delivery toward the first listed LNVC).
-  std::atomic<std::uint32_t> any_cursor;
 };
 
 /// What a process was in the middle of when it (possibly) died.  A
@@ -458,11 +473,10 @@ struct alignas(64) ProcSlot {
   /// (first arm is 1).
   std::atomic<std::uint32_t> view_seq;
 
-  /// Monitor membership flags: set while this process is counted in
-  /// exhaustion_waiters / activity_waiters, so reap() can repair the
-  /// counters a death would leak.
+  /// Monitor membership flag: set while this process is counted in
+  /// exhaustion_waiters, so reap() can repair the counter a death would
+  /// leak.
   std::atomic<std::uint32_t> in_exhaustion;
-  std::atomic<std::uint32_t> in_activity;
 
   /// Quota-reservation journal: a send's admission charge between the
   /// moment it lands on the LnvcDesc ledger and the moment the enqueued
@@ -496,8 +510,8 @@ struct alignas(64) ProcSlot {
   std::atomic<std::uint32_t> rpark_gen;
   std::atomic<std::uint64_t> rpark_ticket;
   /// This process's one-claimant wait cell: every park of this process
-  /// (today: blocked FCFS receivers) sleeps here, and wakers bump it via
-  /// Platform::unpark.
+  /// (blocked lock-free FCFS receivers, receive_any, pollset_wait) sleeps
+  /// here, and wakers bump it via Platform::unpark.
   sync::WaitNode park_node;
 
   /// Fast-push crash protocol.  inject_seq is the sender-private stamp
@@ -559,11 +573,14 @@ struct FacilityHeader {
   sync::SpinLock lnvc_free_lock;
   std::uint32_t lnvc_free_head;  ///< slot index + 1; 0 = exhausted
   std::uint32_t pad_dir_;
-  /// Poll sets: PollSet[max_pollsets], each owning pollset_capacity member
-  /// slots of carve (see PollSet::members).
+  /// Ready sets: PollSet[max_pollsets] and the per-process receive_any
+  /// sets ReadySet[max_processes], each with its own bitmap carve.
   shm::Offset pollsets;
+  shm::Offset any_sets;
   std::uint32_t max_pollsets;
-  std::uint32_t pollset_capacity;
+  std::uint32_t ready_words;    ///< ceil(max_lnvcs / 64)
+  std::uint32_t summary_words;  ///< ceil(ready_words / 64)
+  std::uint32_t pad_sets_;
   /// Monitor mutex for true pool exhaustion: a sender that found every
   /// shard and every magazine dry registers under this lock and sleeps on
   /// blocks_cond; frees ripple it only while exhaustion_waiters > 0.
@@ -571,12 +588,6 @@ struct FacilityHeader {
   sync::EventCount blocks_cond;
   std::atomic<std::uint32_t> exhaustion_waiters;
   std::atomic<std::uint64_t> exhaustion_waits;  ///< lifetime stat
-  /// Facility-wide activity signal for receive_any(): senders ripple it
-  /// only while someone is multi-waiting (activity_waiters > 0), so the
-  /// common single-LNVC paths pay nothing for the feature.
-  sync::SpinLock activity_lock;
-  sync::EventCount activity_cond;
-  std::atomic<std::uint32_t> activity_waiters;
 
   shm::FreeList conn_list;  ///< Connection nodes (global; open/close only)
 
@@ -646,15 +657,15 @@ struct FacilityHeader {
   std::atomic<std::uint64_t> wakes;           ///< unparks issued to waiters
   std::atomic<std::uint64_t> spurious_wakes;  ///< woken parks that found nothing
   std::atomic<std::uint64_t> lockfree_fast_sends;  ///< sends via CAS push
-  /// receive_any connection-snapshot refreshes (satellite: the wait loop
-  /// must not re-walk connection lists on spurious wakeups).
+  /// Circuits revalidated under their descriptor lock by receive_any /
+  /// pollset_wait (arming sweeps plus popped ready entries).
   std::atomic<std::uint64_t> any_rescans;
 
   // Directory / pollset / pulse observability (FacilityStats /
   // mpf_inspect --names).
   std::atomic<std::uint64_t> dir_lookups;     ///< directory name probes
   std::atomic<std::uint64_t> dir_collisions;  ///< extra chain nodes walked
-  std::atomic<std::uint64_t> pollset_wakes;   ///< ready pushes delivered
+  std::atomic<std::uint64_t> pollset_wakes;   ///< poll-set watches fired
   std::atomic<std::uint64_t> pulses_sent;     ///< send_pulse successes
   std::atomic<std::uint64_t> pulses_coalesced;  ///< merged into pending code
 };

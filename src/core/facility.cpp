@@ -26,6 +26,12 @@ std::size_t block_node_bytes(std::uint32_t payload) {
   return node_bytes(sizeof(detail::Block) + payload);
 }
 
+/// u64 words in one ready set's carve: summary, ready and member bitmaps.
+std::size_t ready_set_words(std::uint32_t max_lnvcs) {
+  const std::size_t words = (std::size_t{max_lnvcs} + 63) / 64;
+  return (words + 63) / 64 + 2 * words;
+}
+
 std::uint32_t next_pow2(std::uint32_t v) {
   std::uint32_t p = 1;
   while (p < v) p <<= 1;
@@ -125,9 +131,6 @@ Config Config::resolved() const noexcept {
   if (c.max_pollsets == 0) {
     c.max_pollsets = std::min<std::uint32_t>(c.max_processes, 8);
   }
-  if (c.pollset_capacity == 0) {
-    c.pollset_capacity = std::min<std::uint32_t>(c.max_lnvcs, 65536);
-  }
   if (c.slab_threshold > 0) {
     if (c.slab_bytes == 0) {
       c.slab_bytes = std::max<std::size_t>(16384, align8(c.slab_threshold));
@@ -159,8 +162,11 @@ Config Config::resolved() const noexcept {
     bytes += static_cast<std::size_t>(c.dir_buckets) *
              sizeof(detail::DirBucket);
     bytes += static_cast<std::size_t>(c.max_pollsets) *
-             (sizeof(detail::PollSet) +
-              3 * static_cast<std::size_t>(c.pollset_capacity) * 4 + 192);
+                 sizeof(detail::PollSet) +
+             static_cast<std::size_t>(c.max_processes) *
+                 sizeof(detail::ReadySet) +
+             static_cast<std::size_t>(c.max_pollsets + c.max_processes) *
+                 (ready_set_words(c.max_lnvcs) * 8 + 64);
     // One 64-byte alignment gap per carve (two free lists per shard, one
     // slab sub-pool per node).
     bytes += (2 * static_cast<std::size_t>(c.pool_shards) +
@@ -251,8 +257,8 @@ Facility Facility::create(const Config& config, shm::Region& region,
   hdr->msgs_total = c.message_headers;
   hdr->node_stats = arena.make_array<detail::NodeStats>(c.numa_nodes);
 
-  // Per-process magazines (always allocated: the any_cursor lives here even
-  // when caching is off).
+  // Per-process magazines (always allocated, even when caching is off:
+  // block_cap 0 is what switches a magazine off).
   hdr->caches = arena.make_array<detail::ProcCache>(c.max_processes);
   auto* pc = static_cast<detail::ProcCache*>(arena.raw(hdr->caches));
   const std::uint32_t msg_cap = derived_msg_cache_cap(c);
@@ -286,18 +292,21 @@ Facility Facility::create(const Config& config, shm::Region& region,
   }
   hdr->lnvc_free_head = c.max_lnvcs > 0 ? 1 : 0;
 
-  // Poll sets: the member/ready/queued arrays are per-pollset carves so
-  // ready-stack links are storage the pollset owns (never clobbered by
-  // LNVC slot recycling).
+  // Ready sets: one per poll set plus one receive_any set per process,
+  // each with its own zeroed bitmap carve keyed by descriptor slot.
   hdr->pollsets = arena.make_array<detail::PollSet>(c.max_pollsets);
+  hdr->any_sets = arena.make_array<detail::ReadySet>(c.max_processes);
   hdr->max_pollsets = c.max_pollsets;
-  hdr->pollset_capacity = c.pollset_capacity;
+  hdr->ready_words = (c.max_lnvcs + 63) / 64;
+  hdr->summary_words = (hdr->ready_words + 63) / 64;
+  const std::size_t set_words = ready_set_words(c.max_lnvcs);
   auto* pss = static_cast<detail::PollSet*>(arena.raw(hdr->pollsets));
   for (std::uint32_t i = 0; i < c.max_pollsets; ++i) {
-    pss[i].members = arena.make_array<std::uint32_t>(c.pollset_capacity);
-    pss[i].ready_next = arena.make_array<std::uint32_t>(c.pollset_capacity);
-    pss[i].queued =
-        arena.make_array<std::atomic<std::uint32_t>>(c.pollset_capacity);
+    pss[i].rs.bits = arena.make_array<std::atomic<std::uint64_t>>(set_words);
+  }
+  auto* anys = static_cast<detail::ReadySet*>(arena.raw(hdr->any_sets));
+  for (std::uint32_t p = 0; p < c.max_processes; ++p) {
+    anys[p].bits = arena.make_array<std::atomic<std::uint64_t>>(set_words);
   }
 
   hdr->magic = detail::kFacilityMagic;  // published last
@@ -530,9 +539,8 @@ Status Facility::open_common(ProcessId pid, std::string_view name,
     d->park_next_ticket = 0;
     d->park_waiters.store(0, std::memory_order_relaxed);
     d->prober = 0;
-    // No pollset membership, no pending pulses on a fresh circuit.
-    d->pollset_id.store(0, std::memory_order_relaxed);
-    d->ready_armed.store(0, std::memory_order_relaxed);
+    // No armed watches, no pending pulses on a fresh circuit.
+    d->armed.store(0, std::memory_order_relaxed);
     for (auto& p : d->pulses) p = detail::PulseSlot{};
     // Commit span (no platform calls): link into the bucket, mark the
     // slot live, publish.  A death before this span leaves a kClaimed
@@ -658,6 +666,9 @@ Status Facility::close_common(ProcessId pid, LnvcId id, bool sender) {
   } else {
     --d->n_senders;
   }
+  // A blocked multi-circuit waiter watching this connection must wake and
+  // find it gone (not_connected / no_such_lnvc, as a receive would).
+  watch_fire(*d, *conn, ~std::uint32_t{0});
   const shm::Offset conn_off = arena_.ref_of(conn).off;
   *link = conn->next;
   header_->conn_list.push(arena_, conn_off);
@@ -678,13 +689,6 @@ Status Facility::close_common(ProcessId pid, LnvcId id, bool sender) {
   }
   platform_->unlock(d->lock);
   platform_->unlock(b.lock);
-  // Multi-waiters (receive_any) must reconsider after a close/destroy;
-  // rippled outside the LNVC/registry locks to keep lock order acyclic.
-  if (header_->activity_waiters.load(std::memory_order_acquire) > 0) {
-    alock(header_->activity_lock, pid);
-    platform_->unlock(header_->activity_lock);
-    platform_->notify_all(header_->activity_cond);
-  }
   reap_if_dead(pid, dead);
   return Status::ok;
 }
@@ -730,8 +734,7 @@ void Facility::destroy_lnvc(ProcessId pid, detail::LnvcDesc& d) {
   dir_unlink(bucket_of(d.name_hash.load(std::memory_order_relaxed)), d);
   d.free_claimant = pid;
   d.free_state.store(detail::LnvcDesc::kClaimed, std::memory_order_release);
-  d.pollset_id.store(0, std::memory_order_seq_cst);
-  d.ready_armed.store(0, std::memory_order_relaxed);
+  d.armed.store(0, std::memory_order_relaxed);  // no connections left
   for (auto& p : d.pulses) p = detail::PulseSlot{};
   d.in_use = 0;
   std::memset(d.name, 0, sizeof(d.name));

@@ -17,6 +17,7 @@
 #include "mpf/core/invariants.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <unordered_map>
 #include <unordered_set>
@@ -53,6 +54,8 @@ const char* invariant_name(Invariant c) noexcept {
       return "quiescence";
     case Invariant::directory:
       return "directory";
+    case Invariant::watches:
+      return "watches";
   }
   return "unknown";
 }
@@ -113,6 +116,12 @@ struct MsgSnap {
   std::uint32_t gen = 0;
 };
 
+/// A live receive connection's watch state, taken under its circuit's lock.
+struct WatchSnap {
+  std::uint32_t armed = 0;
+  std::uint32_t pollset = 0;
+};
+
 struct Checker {
   const Facility& f;
   detail::FacilityHeader& h;
@@ -121,6 +130,10 @@ struct Checker {
   /// Every message linked into a live FIFO (offset -> snapshot index).
   std::unordered_map<shm::Offset, std::size_t> fifo_index;
   std::vector<MsgSnap> msgs;
+  /// Receive connections by (slot << 32 | pid), and how many connections
+  /// claim each poll set (by index + 1).
+  std::unordered_map<std::uint64_t, WatchSnap> watches;
+  std::unordered_map<std::uint32_t, std::uint32_t> enrolled_in;
 
   void fail(Invariant cls, LnvcId id, ProcessId pid, std::string detail) {
     rep.violations.push_back(InvariantViolation{cls, id, pid,
@@ -139,7 +152,7 @@ struct Checker {
 InvariantReport InvariantOracle::check(const Facility& f, bool quiescent) {
   auto* self = const_cast<Facility*>(&f);
   detail::FacilityHeader& h = *f.header_;
-  Checker c{f, h, quiescent, {}, {}, {}};
+  Checker c{f, h, quiescent, {}, {}, {}, {}, {}};
   c.rep.quiescent = quiescent;
 
   const std::uint64_t msg_cap = h.msgs_total + 2;  // cycle guard
@@ -299,6 +312,7 @@ InvariantReport InvariantOracle::check(const Facility& f, bool quiescent) {
     const std::uint64_t conn_cap =
         static_cast<std::uint64_t>(h.max_processes) * 2 + 2;
     std::unordered_set<std::uint64_t> conn_seen;  // pid * 2 + is_sender
+    std::uint32_t armed_watches = 0;
     for (shm::Offset off = d.connections.off; off != shm::kNullOffset;) {
       if (++conn_walked > conn_cap) {
         c.fail(Invariant::fifo, id, "connection list cycle");
@@ -318,6 +332,42 @@ InvariantReport InvariantOracle::check(const Facility& f, bool quiescent) {
         c.fail(Invariant::fifo, id, conn->process_id,
                conn->is_sender() ? "duplicate send connection"
                                  : "duplicate receive connection");
+      }
+      // Watches: receive connections only, known bits, poll watch only in
+      // a poll set, and at rest only for live processes.
+      constexpr std::uint32_t kWatchBits =
+          detail::Connection::kWatchAny | detail::Connection::kWatchPoll;
+      armed_watches += static_cast<std::uint32_t>(std::popcount(conn->armed));
+      if (conn->pollset != 0) ++c.enrolled_in[conn->pollset];
+      if ((conn->is_sender() && (conn->armed | conn->pollset) != 0) ||
+          (conn->armed & ~kWatchBits) != 0 ||
+          ((conn->armed & detail::Connection::kWatchPoll) != 0 &&
+           conn->pollset == 0)) {
+        c.fail(Invariant::watches, id, conn->process_id,
+               "malformed watch (armed " + format_u64(conn->armed) +
+                   ", pollset " + format_u64(conn->pollset) + ")");
+      }
+      if (quiescent && conn->armed != 0 &&
+          f.pslot(conn->process_id).state.load(std::memory_order_acquire) !=
+              detail::ProcSlot::kLive) {
+        c.fail(Invariant::watches, id, conn->process_id,
+               "watch armed for a process that is not live");
+      }
+      // Any event that makes a connection deliverable fires its watches,
+      // so at rest an armed connection has nothing to deliver.
+      bool pulse = false;
+      for (const auto& p : d.pulses) pulse = pulse || p.count != 0;
+      if (quiescent && conn->armed != 0 &&
+          (d.inject_head.load(std::memory_order_acquire) != shm::kNullOffset ||
+           (conn->is_fcfs() ? d.fcfs_head.off : conn->bcast_head) !=
+               shm::kNullOffset ||
+           (pulse && (conn->armed & detail::Connection::kWatchPoll) != 0))) {
+        c.fail(Invariant::watches, id, conn->process_id,
+               "watch still armed on a deliverable connection (lost wake)");
+      }
+      if (!conn->is_sender()) {
+        c.watches[std::uint64_t{uid} << 32 | conn->process_id] =
+            WatchSnap{conn->armed, conn->pollset};
       }
       if (conn->is_sender()) {
         ++senders;
@@ -358,6 +408,14 @@ InvariantReport InvariantOracle::check(const Facility& f, bool quiescent) {
     if (d.n_senders > 0 && d.last_sender_died != 0) {
       c.fail(Invariant::fifo, id,
              "last_sender_died set while senders are connected");
+    }
+
+    // --- watches: armed count vs. armed connection watches --------------
+    if (d.armed.load(std::memory_order_acquire) != armed_watches) {
+      c.fail(Invariant::watches, id,
+             "armed count " +
+                 format_u64(d.armed.load(std::memory_order_relaxed)) + " != " +
+                 format_u64(armed_watches) + " armed connection watches");
     }
 
     // --- broadcast remaining vs. cursors (lower bound; exact at rest
@@ -597,8 +655,7 @@ InvariantReport InvariantOracle::check(const Facility& f, bool quiescent) {
         c.fail(Invariant::quiescence, kInvalidLnvc, p,
                "process still parked");
       }
-      if (ps.in_exhaustion.load(std::memory_order_acquire) != 0 ||
-          ps.in_activity.load(std::memory_order_acquire) != 0) {
+      if (ps.in_exhaustion.load(std::memory_order_acquire) != 0) {
         c.fail(Invariant::quiescence, kInvalidLnvc, p,
                "process still registered on a monitor");
       }
@@ -606,10 +663,6 @@ InvariantReport InvariantOracle::check(const Facility& f, bool quiescent) {
     if (h.exhaustion_waiters.load(std::memory_order_acquire) != 0) {
       c.fail_global(Invariant::quiescence,
                     "exhaustion_waiters non-zero at rest");
-    }
-    if (h.activity_waiters.load(std::memory_order_acquire) != 0) {
-      c.fail_global(Invariant::quiescence,
-                    "activity_waiters non-zero at rest");
     }
   }
 
@@ -736,108 +789,87 @@ InvariantReport InvariantOracle::check(const Facility& f, bool quiescent) {
       }
     }
 
-    // Pollsets: membership is bidirectional where the descriptor side
-    // claims it; ready-stack entries are queued member indices.  (A
-    // members[] entry whose descriptor no longer points back is legal —
-    // destroy_lnvc clears only the descriptor side and pollset_wait
-    // reclaims the member slot lazily.)
+  }
+
+  // --- ready sets: poll sets and receive_any sets ------------------------
+  // At rest (no waiter mid-pop or mid-revalidation): ready words are
+  // visible through the summary level, every watched live connection is
+  // armed or marked (no lost wake), and a process that left watches
+  // nothing.
+  if (quiescent) {
+    // Returns how many watched slots hold a live watching connection.
+    const auto check_set = [&](const detail::ReadySet& rs, ProcessId owner,
+                               std::uint32_t bit, std::uint32_t psi1,
+                               const std::string& what) {
+      const detail::ReadyBits b = f.ready_bits(rs);
+      std::uint32_t live = 0;
+      for (std::uint32_t w = 0; w < h.ready_words; ++w) {
+        const std::uint64_t ready = b.ready[w].load(std::memory_order_acquire);
+        std::uint64_t m = b.member[w].load(std::memory_order_acquire);
+        if (ready != 0 && ((b.summary[w >> 6].load(std::memory_order_acquire) >>
+                            (w & 63)) & 1) == 0) {
+          c.fail_global(Invariant::watches, what + " ready word " +
+                                                format_u64(w) +
+                                                " hidden from the summary");
+        }
+        for (; m != 0; m &= m - 1) {
+          const std::uint32_t s =
+              w * 64 + static_cast<std::uint32_t>(std::countr_zero(m));
+          const auto it =
+              c.watches.find(static_cast<std::uint64_t>(s) << 32 | owner);
+          if (it == c.watches.end()) continue;  // closed: dropped lazily
+          if (psi1 != 0 && it->second.pollset != psi1) continue;
+          ++live;
+          if ((it->second.armed & bit) == 0 && ((ready >> (s & 63)) & 1) == 0) {
+            c.fail(Invariant::watches, static_cast<LnvcId>(s), owner,
+                   what + " watches the circuit, but it is neither armed "
+                          "nor marked ready (lost wake)");
+          }
+        }
+      }
+      return live;
+    };
+    const auto has_members = [&](const detail::ReadySet& rs) {
+      const detail::ReadyBits b = f.ready_bits(rs);
+      for (std::uint32_t w = 0; w < h.ready_words; ++w) {
+        if (b.member[w].load(std::memory_order_acquire) != 0) return true;
+      }
+      return false;
+    };
+    for (ProcessId p = 0; p < h.max_processes; ++p) {
+      const std::string what = "receive_any set of pid " + format_u64(p);
+      check_set(f.any_set(p), p, detail::Connection::kWatchAny, 0, what);
+      if (f.pslot(p).state.load(std::memory_order_acquire) !=
+              detail::ProcSlot::kLive &&
+          has_members(f.any_set(p))) {
+        c.fail(Invariant::watches, kInvalidLnvc, p,
+               what + " still watches circuits after the process left");
+      }
+    }
+    // Every connection enrolled in a poll set is one of its owner's
+    // member slots: an enrolled connection missing from the member bitmap
+    // would have its marks skipped.
     auto* psets = static_cast<detail::PollSet*>(f.arena_.raw(h.pollsets));
     for (std::uint32_t p = 0; p < h.max_pollsets; ++p) {
       detail::PollSet& ps = psets[p];
+      const std::string what = "pollset " + format_u64(p);
       self->platform_->lock(ps.lock);
-      if (ps.in_use == 0) {
-        if (ps.waiter_pid.load(std::memory_order_acquire) != 0) {
-          c.fail_global(Invariant::directory,
-                        "pollset " + format_u64(p) +
-                            " not in_use but has a registered waiter");
-        }
-        self->platform_->unlock(ps.lock);
-        continue;
+      const std::uint32_t listed =
+          ps.in_use == 0 ? 0
+                         : check_set(ps.rs, ps.owner_pid,
+                                     detail::Connection::kWatchPoll, p + 1,
+                                     what);
+      if (listed != c.enrolled_in[p + 1]) {
+        c.fail_global(Invariant::watches,
+                      what + " lists " + format_u64(listed) + " of the " +
+                          format_u64(c.enrolled_in[p + 1]) +
+                          " connections enrolled in it");
       }
-      auto* members = static_cast<std::uint32_t*>(f.arena_.raw(ps.members));
-      auto* queued = static_cast<std::atomic<std::uint32_t>*>(
-          f.arena_.raw(ps.queued));
-      // n_members is a prefix high-water mark: holes inside the prefix are
-      // legal (remove / lazy reclamation), entries beyond it are not.
-      if (ps.n_members > h.pollset_capacity) {
-        c.fail_global(Invariant::directory,
-                      "pollset " + format_u64(p) + " n_members " +
-                          format_u64(ps.n_members) + " exceeds capacity");
-      }
-      for (std::uint32_t m = 0; m < h.pollset_capacity; ++m) {
-        const std::uint32_t ref = members[m];
-        if (ref == 0) continue;
-        if (m >= ps.n_members) {
-          c.fail_global(Invariant::directory,
-                        "pollset " + format_u64(p) + " member slot " +
-                            format_u64(m) + " filled beyond n_members " +
-                            format_u64(ps.n_members));
-        }
-        if (ref - 1 >= h.max_lnvcs) {
-          c.fail_global(Invariant::directory,
-                        "pollset " + format_u64(p) +
-                            " member references out-of-range slot " +
-                            format_u64(ref - 1));
-        }
-      }
-      std::uint32_t rwalked = 0;
-      auto* rnext =
-          static_cast<std::uint32_t*>(f.arena_.raw(ps.ready_next));
-      for (std::uint32_t cur =
-               ps.ready_head.load(std::memory_order_acquire);
-           cur != 0;) {
-        if (++rwalked > h.pollset_capacity) {
-          c.fail_global(Invariant::directory,
-                        "pollset " + format_u64(p) +
-                            " ready stack exceeds capacity (cycle)");
-          break;
-        }
-        const std::uint32_t m = cur - 1;
-        if (m >= h.pollset_capacity) {
-          c.fail_global(Invariant::directory,
-                        "pollset " + format_u64(p) +
-                            " ready stack links member " + format_u64(m) +
-                            " out of range");
-          break;
-        }
-        if (queued[m].load(std::memory_order_acquire) == 0) {
-          c.fail_global(Invariant::directory,
-                        "pollset " + format_u64(p) + " ready member " +
-                            format_u64(m) + " not flagged queued");
-        }
-        cur = rnext[m];
-      }
-      self->platform_->unlock(ps.lock);
-    }
-
-    // Descriptor -> pollset direction (strong: the descriptor side is the
-    // membership commit point).  Never holds the descriptor lock while
-    // taking ps.lock — pollset code orders ps.lock before descriptor locks;
-    // instead snapshot the claim, then re-verify it under ps.lock alone
-    // (the membership words are atomics written under both locks).
-    for (std::uint32_t uid = 0; uid < h.max_lnvcs; ++uid) {
-      detail::LnvcDesc& d = table[uid];
-      const std::uint32_t psid = d.pollset_id.load(std::memory_order_acquire);
-      if (psid == 0) continue;
-      if (psid - 1 >= h.max_pollsets) {
-        c.fail(Invariant::directory, static_cast<LnvcId>(uid),
-               "pollset_id out of range");
-        continue;
-      }
-      detail::PollSet& ps = psets[psid - 1];
-      self->platform_->lock(ps.lock);
-      const std::uint32_t m = d.pollset_mslot.load(std::memory_order_relaxed);
-      if (d.pollset_id.load(std::memory_order_acquire) == psid &&
-          ps.in_use != 0 &&
-          d.pollset_gen.load(std::memory_order_relaxed) == ps.generation) {
-        if (m >= h.pollset_capacity ||
-            static_cast<std::uint32_t*>(f.arena_.raw(ps.members))[m] !=
-                uid + 1) {
-          c.fail(Invariant::directory, static_cast<LnvcId>(uid),
-                 "descriptor claims pollset " + format_u64(psid - 1) +
-                     " member " + format_u64(m) +
-                     " but the pollset does not point back");
-        }
+      if (ps.in_use == 0 && (ps.waiter_pid.load(std::memory_order_acquire) !=
+                                 0 ||
+                             has_members(ps.rs))) {
+        c.fail_global(Invariant::watches,
+                      what + " not in_use but has a waiter or members");
       }
       self->platform_->unlock(ps.lock);
     }

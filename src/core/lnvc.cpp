@@ -6,6 +6,8 @@
 // message's journey is covered by an intent-journal record, and every
 // public entry point drains pending reaps (reap_if_dead) on its way out,
 // once no facility lock is held.
+#include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "mpf/core/facility.hpp"
@@ -19,6 +21,44 @@ constexpr std::size_t kMaxMessageBytes = 64ull << 20;
 
 std::size_t blocks_for(std::size_t len, std::uint32_t payload) {
   return payload == 0 ? 0 : (len + payload - 1) / payload;
+}
+
+/// Copy the gather list `iov` into the block chain starting at `chain`.
+void gather_to_chain(const shm::Arena& arena, shm::Offset chain,
+                     std::size_t payload, std::span<const ConstBuffer> iov) {
+  std::byte* bp = nullptr;
+  std::size_t room = 0;
+  shm::Offset b_off = chain;
+  for (const ConstBuffer& io : iov) {
+    const auto* src = static_cast<const std::byte*>(io.data);
+    std::size_t left = io.len;
+    while (left > 0) {
+      if (room == 0) {
+        auto* b = static_cast<detail::Block*>(arena.raw(b_off));
+        bp = b->data();
+        room = payload;
+        b_off = b->next;
+      }
+      const std::size_t chunk = std::min(room, left);
+      std::memcpy(bp, src, chunk);
+      bp += chunk;
+      src += chunk;
+      room -= chunk;
+      left -= chunk;
+    }
+  }
+}
+
+/// Slot `s`'s entry in an open-addressed AnyMemo table, or the empty entry
+/// where it would go.
+detail::AnyMemo::Entry& memo_entry(std::vector<detail::AnyMemo::Entry>& t,
+                                   std::uint32_t s) {
+  const std::size_t mask = t.size() - 1;
+  for (std::size_t i = (std::uint64_t{s} * 0x9E3779B97F4A7C15ull) >> 40;;
+       ++i) {
+    detail::AnyMemo::Entry& e = t[i & mask];
+    if (e.slot1 == 0 || e.slot1 == s + 1) return e;
+  }
 }
 
 }  // namespace
@@ -96,6 +136,20 @@ std::uint64_t Facility::probe_wait_ns(ProcessId pid, std::uint64_t suspicion,
   return suspicion * (16 + (static_cast<std::uint64_t>(pid) & 15));
 }
 
+void Facility::reap_dead_sender(detail::LnvcDesc& d, ProcessId pid) {
+  for (shm::Offset off = d.connections.off; off != shm::kNullOffset;) {
+    const auto* c = static_cast<const detail::Connection*>(arena_.raw(off));
+    if (c->is_sender() && !process_alive(c->process_id)) {
+      const ProcessId suspect = c->process_id;
+      platform_->unlock(d.lock);
+      reap_if_dead(pid, suspect);
+      alock_lnvc(d, pid);
+      return;
+    }
+    off = c->next;
+  }
+}
+
 void Facility::probe_release(detail::LnvcDesc& d, ProcessId pid) {
   if (d.prober == static_cast<std::uint32_t>(pid) + 1) d.prober = 0;
 }
@@ -103,8 +157,7 @@ void Facility::probe_release(detail::LnvcDesc& d, ProcessId pid) {
 void Facility::update_fast_state(detail::LnvcDesc& d) {
   // Descriptor lock held.  Every structural change a cached fast-path
   // validation depends on funnels through here: the epoch bump invalidates
-  // every ProcSlot::fast_seen cache, and receive_any uses the same word as
-  // its snapshot-refresh trigger.
+  // every ProcSlot::fast_seen cache.
   const std::uint64_t old = d.fast_state.load(std::memory_order_relaxed);
   const bool eligible = header_->lockfree_fcfs != 0 && d.in_use != 0 &&
                         d.n_bcast == 0 && d.quota_blocks == 0 &&
@@ -328,30 +381,7 @@ bool Facility::fast_send(ProcessId pid, detail::LnvcDesc& d, LnvcId id,
   m->last_block = chain_tail;
   m->flags = 0;
   m->next_msg = shm::kNullOffset;
-  {
-    detail::Block* b = nullptr;
-    std::byte* bp = nullptr;
-    std::size_t room = 0;
-    shm::Offset b_off = chain;
-    for (const ConstBuffer& io : iov) {
-      const auto* src = static_cast<const std::byte*>(io.data);
-      std::size_t left = io.len;
-      while (left > 0) {
-        if (room == 0) {
-          b = static_cast<detail::Block*>(arena_.raw(b_off));
-          bp = b->data();
-          room = header_->block_payload;
-          b_off = b->next;
-        }
-        const std::size_t chunk = std::min(room, left);
-        std::memcpy(bp, src, chunk);
-        bp += chunk;
-        src += chunk;
-        room -= chunk;
-        left -= chunk;
-      }
-    }
-  }
+  gather_to_chain(arena_, chain, header_->block_payload, iov);
   platform_->on_buffer_alloc(sizeof(detail::MsgHeader) +
                              need * (sizeof(detail::Block) +
                                      header_->block_payload));
@@ -395,6 +425,7 @@ bool Facility::fast_send(ProcessId pid, detail::LnvcDesc& d, LnvcId id,
       // Still connected: the push stands.  Drain now so claims and the
       // quota ledger settle under this lock before the journal clears.
       drain_injection(d);
+      watch_fire_all(d, ~std::uint32_t{0});
       platform_->unlock(d.lock);
       journal_clear(pid);
       header_->sends.fetch_add(1, std::memory_order_relaxed);
@@ -402,13 +433,7 @@ bool Facility::fast_send(ProcessId pid, detail::LnvcDesc& d, LnvcId id,
       header_->lockfree_fast_sends.fetch_add(1, std::memory_order_relaxed);
       platform_->notify_all(d.cond);
       rpark_wake(d, ps.fast_gen, /*all=*/false);
-      pollset_signal(d);
       park_ripple(d);
-      if (header_->activity_waiters.load(std::memory_order_acquire) > 0) {
-        alock(header_->activity_lock, pid);
-        platform_->unlock(header_->activity_lock);
-        platform_->notify_all(header_->activity_cond);
-      }
       reap_if_dead(pid, kNoProcess);
       *out = Status::ok;
       return true;
@@ -438,11 +463,13 @@ bool Facility::fast_send(ProcessId pid, detail::LnvcDesc& d, LnvcId id,
   // register-then-recheck (Dekker): either we see its registration or it
   // sees our push.
   rpark_wake(d, ps.fast_gen, /*all=*/false);
-  pollset_signal(d);
-  if (header_->activity_waiters.load(std::memory_order_acquire) > 0) {
-    alock(header_->activity_lock, pid);
-    platform_->unlock(header_->activity_lock);
-    platform_->notify_all(header_->activity_cond);
+  // Multi-circuit waiters: the same Dekker pairing against watch_arm's
+  // increment-then-recheck.  Nobody armed (the common case) costs this
+  // one load; otherwise fire under the lock the watches live under.
+  if (d.armed.load(std::memory_order_seq_cst) != 0) {
+    alock_lnvc(d, pid);
+    watch_fire_all(d, ~std::uint32_t{0});
+    platform_->unlock(d.lock);
   }
   reap_if_dead(pid, kNoProcess);
   *out = Status::ok;
@@ -837,28 +864,7 @@ Status Facility::send_impl(ProcessId pid, LnvcId id,
       dst += io.len;
     }
   } else {
-    detail::Block* b = nullptr;
-    std::byte* bp = nullptr;
-    std::size_t room = 0;
-    shm::Offset b_off = chain;
-    for (const ConstBuffer& io : iov) {
-      const auto* src = static_cast<const std::byte*>(io.data);
-      std::size_t left = io.len;
-      while (left > 0) {
-        if (room == 0) {
-          b = static_cast<detail::Block*>(arena_.raw(b_off));
-          bp = b->data();
-          room = header_->block_payload;
-          b_off = b->next;
-        }
-        const std::size_t chunk = std::min(room, left);
-        std::memcpy(bp, src, chunk);
-        bp += chunk;
-        src += chunk;
-        room -= chunk;
-        left -= chunk;
-      }
-    }
+    gather_to_chain(arena_, chain, header_->block_payload, iov);
   }
   const std::size_t footprint =
       sizeof(detail::MsgHeader) +
@@ -950,6 +956,10 @@ Status Facility::send_impl(ProcessId pid, LnvcId id,
   pslot(pid).q_active.store(0, std::memory_order_release);
   ++d->total_msgs;
   d->total_bytes += len;
+  // Fire the armed multi-circuit watches while the lock still orders us
+  // against their arming.  After the stage-1 commit, not inside the link
+  // walk above: waking is a platform call, and the link span has none.
+  watch_fire_all(*d, ~std::uint32_t{0});
   // Fill (or invalidate) this sender's fast-path cache under the lock: the
   // fast_state word read here proves exactly what the fast path needs.
   if (header_->lockfree_fcfs != 0) {
@@ -976,20 +986,11 @@ Status Facility::send_impl(ProcessId pid, LnvcId id,
   header_->bytes_sent.fetch_add(len, std::memory_order_relaxed);
   if (slab) header_->slab_sends.fetch_add(1, std::memory_order_relaxed);
   platform_->notify_all(d->cond);
-  pollset_signal(*d);
   // Receivers parked on the lock-free claim path listen on their wait
   // nodes, not on d->cond; a locked send must promote one of them too.
   if (header_->lockfree_fcfs != 0) rpark_wake(*d, generation, /*all=*/false);
   // The undeliverable-reclaim above may have freed quota; pass the baton.
   park_ripple(*d);
-  if (header_->activity_waiters.load(std::memory_order_acquire) > 0) {
-    // A multi-waiter may have scanned this LNVC before our enqueue; the
-    // empty lock/unlock orders us against its check-then-sleep, so the
-    // notify cannot be lost (monitor discipline for receive_any).
-    alock(header_->activity_lock, pid);
-    platform_->unlock(header_->activity_lock);
-    platform_->notify_all(header_->activity_cond);
-  }
   reap_if_dead(pid, kNoProcess);
   return Status::ok;
 }
@@ -1005,8 +1006,8 @@ Status Facility::receive_any_for(ProcessId pid, std::span<const LnvcId> ids,
                                  void* buf, std::size_t cap,
                                  std::size_t* out_len, std::size_t* out_index,
                                  std::uint64_t timeout_ns) {
-  // timeout 0 = one full nonblocking sweep, then timed_out: the deadline
-  // "now" expires after the first scan inside the impl.
+  // timeout 0 = deliver whatever is ready now, then timed_out: the
+  // deadline "now" expires once the ready set is empty.
   const std::uint64_t now = platform_->now_ns();
   std::uint64_t deadline = now + timeout_ns;
   if (deadline < now) deadline = kNoDeadline;  // saturate huge timeouts
@@ -1031,149 +1032,136 @@ Status Facility::receive_any_impl(ProcessId pid, std::span<const LnvcId> ids,
                        deadline_ns > now ? deadline_ns - now : 0);
   }
   if (pid >= header_->max_processes) return Status::invalid_argument;
-  // Hoisted connection snapshot (one row per listed circuit): the locked
-  // find_conn walk happens once up front and again only when a circuit's
-  // fast_state epoch says its structure actually changed.  A spurious
-  // activity wakeup over 1k circuits then re-probes with one lock and two
-  // loads each instead of 1k connection-list walks.
-  struct Probe {
-    detail::LnvcDesc* d = nullptr;
-    std::uint64_t fs = 0;                 ///< fast_state at snapshot
-    shm::Offset conn = shm::kNullOffset;  ///< our receive connection
-    bool fcfs = false;
-    bool ready = false;
-    bool orphaned = false;
-  };
-  std::vector<Probe> probes(ids.size());
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    probes[i].d = slot(ids[i]);
-    if (probes[i].d == nullptr) return Status::invalid_argument;
+  for (const LnvcId id : ids) {
+    if (slot(id) == nullptr) return Status::invalid_argument;
   }
-  // (Re)walk one circuit's connection list under its (held) lock.
-  const auto refresh = [&](std::size_t i) -> Status {
-    Probe& p = probes[i];
+  // The watch protocol of pollset.cpp over this process's implicit ready
+  // set: every listed connection is watched (member bit), and a watched
+  // circuit is armed, marked ready, or being revalidated right here.
+  detail::ReadySet& rs = any_set(pid);
+  const detail::ReadyBits b = ready_bits(rs);
+  detail::AnyMemo& memo = (*any_memo_)[pid];
+  const auto bit = [](std::uint32_t s) { return std::uint64_t{1} << (s & 63); };
+  // Stop watching `s`; the epoch bump expires every memo's verdict.
+  const auto unwatch = [&](std::uint32_t s) {
+    b.member[s >> 6].fetch_and(~bit(s), std::memory_order_relaxed);
+    rs.epoch.fetch_add(1, std::memory_order_seq_cst);
+  };
+  // Revalidate e's slot under its lock: deliverable now (*ready, and
+  // marked so the next pass looks again: level-triggered), or armed for
+  // the next event, and e's orphan verdict refreshed.  A missing circuit
+  // or connection is reported exactly as a receive would report it, and
+  // the slot stops being watched.
+  const auto revalidate = [&](detail::AnyMemo::Entry& e,
+                              bool* ready) -> Status {
+    const std::uint32_t s = e.slot1 - 1;
+    detail::LnvcDesc& d = table()[s];
+    platform_->charge_recv_fixed();
+    alock_lnvc(d, pid);
     header_->any_rescans.fetch_add(1, std::memory_order_relaxed);
-    p.fs = p.d->fast_state.load(std::memory_order_relaxed);
-    if (p.d->in_use == 0) return Status::no_such_lnvc;
-    detail::Connection* c = find_conn(*p.d, pid, /*sender=*/false);
-    if (c == nullptr) return Status::not_connected;
-    p.conn = arena_.ref_of(c).off;
-    p.fcfs = c->is_fcfs();
-    return Status::ok;
-  };
-  // One locked readiness probe; refreshes the snapshot only if the
-  // structural epoch moved since it was taken.
-  const auto probe_one = [&](std::size_t i) -> Status {
-    Probe& p = probes[i];
-    p.ready = false;
-    p.orphaned = false;
-    alock_lnvc(*p.d, pid);
-    if (header_->lockfree_fcfs != 0) drain_injection(*p.d);
-    if (p.conn == shm::kNullOffset ||
-        p.d->fast_state.load(std::memory_order_relaxed) != p.fs) {
-      const Status s = refresh(i);
-      if (s != Status::ok) {
-        platform_->unlock(p.d->lock);
-        return s;
-      }
-    }
-    auto* c = static_cast<detail::Connection*>(arena_.raw(p.conn));
-    p.ready = p.fcfs ? static_cast<bool>(p.d->fcfs_head)
-                     : c->bcast_head != shm::kNullOffset;
-    p.orphaned = p.d->n_senders == 0 && p.d->last_sender_died != 0;
-    platform_->unlock(p.d->lock);
-    return Status::ok;
-  };
-  // The rotation cursor persists across calls (in this process's ProcCache
-  // slot), so a receiver draining several busy LNVCs round-robins between
-  // them instead of re-biasing toward the first listed one on every call.
-  std::atomic<std::uint32_t>& cursor = caches()[pid].any_cursor;
-  std::size_t start =
-      cursor.load(std::memory_order_relaxed) % ids.size();
-  for (;;) {
-    bool all_orphaned = true;
-    for (std::size_t k = 0; k < ids.size(); ++k) {
-      const std::size_t i = (start + k) % ids.size();
-      platform_->charge_recv_fixed();
-      const Status ps = probe_one(i);
-      if (ps != Status::ok) {
-        reap_if_dead(pid, kNoProcess);
-        return ps;
-      }
-      if (probes[i].ready) {
-        bool got = false;
-        const Status s = receive_impl(pid, ids[i], buf, cap, out_len,
-                                      /*blocking=*/false, &got);
-        if (s != Status::ok && s != Status::truncated) return s;
-        if (got) {
-          *out_index = i;
-          // Resume the next scan just past the circuit that delivered.
-          cursor.store(static_cast<std::uint32_t>((i + 1) % ids.size()),
-                       std::memory_order_relaxed);
-          return s;
-        }
-        // Another receiver won the race to that message; keep scanning.
-      }
-      if (!probes[i].orphaned) all_orphaned = false;
-    }
-    start = (start + 1) % ids.size();
-    // If every listed circuit has lost its last sender to a failure, no
-    // message can ever arrive: blocking would hang forever.  One live or
-    // cleanly-closed circuit keeps the wait legitimate.
-    if (all_orphaned) {
-      header_->orphaned_receives.fetch_add(1, std::memory_order_relaxed);
+    detail::Connection* c =
+        d.in_use != 0 ? find_conn(d, pid, /*sender=*/false) : nullptr;
+    if (c == nullptr) {
+      const Status st =
+          d.in_use == 0 ? Status::no_such_lnvc : Status::not_connected;
+      platform_->unlock(d.lock);
+      unwatch(s);
       reap_if_dead(pid, kNoProcess);
-      return Status::lnvc_orphaned;
+      return st;
     }
-    // Deadline check sits between scan and sleep: expiry still gets one
-    // final full sweep above, and the cursor keeps whatever value the
-    // last delivery left (a timeout must not re-bias the rotation).
+    *ready = conn_ready(d, *c, /*pulses=*/false) ||
+             watch_arm(d, *c, detail::Connection::kWatchAny, /*pulses=*/false);
+    const bool orphaned =
+        !*ready && d.n_senders == 0 && d.last_sender_died != 0;
+    platform_->unlock(d.lock);
+    memo.orphaned -= e.orphaned ? 1 : 0;
+    memo.orphaned += orphaned ? 1 : 0;
+    e.orphaned = orphaned;
+    if (*ready) detail::mark_ready(b, s);
+    return Status::ok;
+  };
+
+  // Arming pass, skipped while the memo proves every listed circuit is
+  // already watched: same list, and no member bit cleared since.  It
+  // revalidates (and arms) every listed circuit, which also gives each
+  // its orphan verdict.
+  const std::uint64_t epoch = rs.epoch.load(std::memory_order_seq_cst);
+  if (memo.epoch != epoch || memo.ids.size() != ids.size() ||
+      !std::equal(ids.begin(), ids.end(), memo.ids.begin())) {
+    memo.epoch = ~std::uint64_t{0};
+    memo.ids.assign(ids.begin(), ids.end());
+    memo.table.assign(std::bit_ceil(2 * ids.size()), {});
+    memo.distinct = 0;
+    memo.orphaned = 0;
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      const auto s = static_cast<std::uint32_t>(ids[i]);
+      detail::AnyMemo::Entry& e = memo_entry(memo.table, s);
+      if (e.slot1 != 0) continue;  // listed twice: the first index answers
+      e.slot1 = s + 1;
+      e.index = static_cast<std::uint32_t>(i);
+      ++memo.distinct;
+      b.member[s >> 6].fetch_or(bit(s), std::memory_order_relaxed);
+      bool ready = false;
+      const Status st = revalidate(e, &ready);
+      if (st != Status::ok) return st;
+    }
+    memo.epoch = epoch;
+  }
+
+  for (;;) {
+    // Serve ready circuits in slot rotation from the persisted cursor.
+    std::uint32_t s = 0;
+    while (pop_ready(b, rs.cursor.load(std::memory_order_relaxed), &s)) {
+      if ((b.member[s >> 6].load(std::memory_order_relaxed) & bit(s)) == 0) {
+        continue;  // a mark for a circuit no longer watched
+      }
+      detail::AnyMemo::Entry& e = memo_entry(memo.table, s);
+      if (e.slot1 == 0) {
+        unwatch(s);  // watched for an earlier list, dropped from this one
+        continue;
+      }
+      bool ready = false;
+      const Status st = revalidate(e, &ready);
+      if (st != Status::ok) return st;
+      if (!ready) continue;
+      bool got = false;
+      const Status rst = receive_impl(pid, ids[e.index], buf, cap, out_len,
+                                      /*blocking=*/false, &got);
+      if (rst != Status::ok && rst != Status::truncated) return rst;
+      if (got) {
+        *out_index = e.index;
+        rs.cursor.store(s + 1, std::memory_order_relaxed);
+        return rst;
+      }
+      // Another receiver won the race; the mark brings us back to re-arm.
+    }
+    // A circuit idle with its last sender dead can never deliver again.
+    // Once every listed circuit was last found so, confirm it under the
+    // locks (a sender may have opened since): blocking would hang forever.
+    if (memo.orphaned == memo.distinct) {
+      for (detail::AnyMemo::Entry& e : memo.table) {
+        if (e.slot1 == 0) continue;
+        bool ready = false;
+        const Status st = revalidate(e, &ready);
+        if (st != Status::ok) return st;
+      }
+      if (memo.orphaned == memo.distinct) {
+        header_->orphaned_receives.fetch_add(1, std::memory_order_relaxed);
+        reap_if_dead(pid, kNoProcess);
+        return Status::lnvc_orphaned;
+      }
+      continue;
+    }
+    // The cursor keeps whatever the last delivery left: a timeout must not
+    // re-bias the rotation.
     if (deadline_ns != kNoDeadline && platform_->now_ns() >= deadline_ns) {
       reap_if_dead(pid, kNoProcess);
       return Status::timed_out;
     }
-    // Nothing ready anywhere: sleep on the facility-wide activity signal.
-    // Counter before flag: if we die in between, the stale registration
-    // only costs spurious ripples until the reap repairs it.
-    header_->activity_waiters.fetch_add(1, std::memory_order_acq_rel);
-    pslot(pid).in_activity.store(1, std::memory_order_release);
-    alock(header_->activity_lock, pid);
-    // Re-probe under the waiter registration: a send that happened after
-    // the scan above has either been seen here or will notify us.  The
-    // snapshot makes this sweep cheap — no connection re-walk unless a
-    // circuit's structure changed.  (No reap here: reap retakes the
-    // activity monitor to repair waiter counts — it would self-deadlock.)
-    bool ready = false;
-    Status probe = Status::ok;
-    for (std::size_t i = 0; i < ids.size() && !ready; ++i) {
-      platform_->charge_check();
-      probe = probe_one(i);
-      if (probe != Status::ok) break;
-      ready = probes[i].ready;
-    }
-    if (probe != Status::ok) {
-      platform_->unlock(header_->activity_lock);
-      pslot(pid).in_activity.store(0, std::memory_order_release);
-      header_->activity_waiters.fetch_sub(1, std::memory_order_acq_rel);
-      reap_if_dead(pid, kNoProcess);
-      return probe;
-    }
-    if (!ready) {
-      if (deadline_ns == kNoDeadline) {
-        await(header_->activity_lock, header_->activity_cond, pid);
-      } else {
-        const std::uint64_t now = platform_->now_ns();
-        if (now < deadline_ns) {
-          bool notified = false;
-          await_for(header_->activity_lock, header_->activity_cond, pid,
-                    deadline_ns - now, &notified);
-        }
-      }
-    }
-    platform_->unlock(header_->activity_lock);
-    pslot(pid).in_activity.store(0, std::memory_order_release);
-    header_->activity_waiters.fetch_sub(1, std::memory_order_acq_rel);
+    // Reap first whatever a seizure above found dead: its reap may orphan
+    // or fire a listed circuit.
     reap_if_dead(pid, kNoProcess);
+    park_on_set(pid, b, deadline_ns);
   }
 }
 
@@ -1313,25 +1301,8 @@ Status Facility::claim_message(ProcessId pid, LnvcId id, bool blocking,
           reap_if_dead(pid, kNoProcess);
           return Status::timed_out;
         }
-        if (suspicion != 0) {
-          // Same liveness sweep as the cond path: probe the senders and
-          // reap the first dead one ourselves.
-          ProcessId suspect = kNoProcess;
-          shm::Offset c_off = d->connections.off;
-          while (c_off != shm::kNullOffset) {
-            auto* sc = static_cast<detail::Connection*>(arena_.raw(c_off));
-            if (sc->is_sender() && !process_alive(sc->process_id)) {
-              suspect = sc->process_id;
-              break;
-            }
-            c_off = sc->next;
-          }
-          if (suspect != kNoProcess) {
-            platform_->unlock(d->lock);
-            reap_if_dead(pid, suspect);
-            alock_lnvc(*d, pid);
-          }
-        }
+        // Same liveness sweep as the cond path.
+        if (suspicion != 0) reap_dead_sender(*d, pid);
       }
     } else if (timeout_ns > 0) {
       const std::uint64_t now = platform_->now_ns();
@@ -1367,24 +1338,8 @@ Status Facility::claim_message(ProcessId pid, LnvcId id, bool blocking,
             &notified);
         probe_release(*d, pid);
         if (dead != kNoProcess) repair_lnvc(*d);
-        if (!notified) {
-          ProcessId suspect = kNoProcess;
-          shm::Offset c_off = d->connections.off;
-          while (c_off != shm::kNullOffset) {
-            auto* sc = static_cast<detail::Connection*>(arena_.raw(c_off));
-            if (sc->is_sender() && !process_alive(sc->process_id)) {
-              suspect = sc->process_id;
-              break;
-            }
-            c_off = sc->next;
-          }
-          if (suspect != kNoProcess) {
-            platform_->unlock(d->lock);
-            reap_if_dead(pid, suspect);
-            alock_lnvc(*d, pid);
-            // Loop re-checks the orphan condition with the repaired state.
-          }
-        }
+        // The loop re-checks the orphan condition with the repaired state.
+        if (!notified) reap_dead_sender(*d, pid);
       }
     }
     platform_->charge_check();
@@ -1721,20 +1676,11 @@ Status Facility::check(ProcessId pid, LnvcId id, bool* out) {
     platform_->unlock(d->lock);
     return Status::not_connected;
   }
-  // Make lock-free pushes visible to the probe.
-  if (header_->lockfree_fcfs != 0) drain_injection(*d);
-  if (conn->is_fcfs()) {
-    // Advisory: another FCFS receiver may take the message first (§2).
-    *out = static_cast<bool>(d->fcfs_head);
-  } else {
-    // Stable: only this receiver advances its private head.
-    *out = conn->bcast_head != shm::kNullOffset;
-  }
+  // Advisory for FCFS: another receiver may take the message first (§2).
+  // Stable for broadcast: only this receiver advances its private head.
+  *out = conn_ready(*d, *conn, /*pulses=*/false);
   platform_->unlock(d->lock);
-  // No reap_if_dead here: receive_any calls check() while it holds the
-  // activity monitor, and a reap retakes that monitor to repair waiter
-  // counts — draining now would self-deadlock.  Any pid noted by a
-  // seizure above drains at the caller's next operation boundary.
+  reap_if_dead(pid, kNoProcess);
   return Status::ok;
 }
 

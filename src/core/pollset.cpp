@@ -1,14 +1,13 @@
-// Poll sets and pulses (DESIGN.md §14): an epoll-like multi-circuit wait
-// object plus a fixed-slot no-allocation notification channel.
-//
-// The ready stack is the only lock-free pairing: senders CAS-push member
-// indices onto PollSet::ready_head (guarded by the per-circuit ready_armed
-// exchange and the per-member queued flag), the single waiter pops the
-// whole stack under PollSet::lock.  Everything structural — membership,
-// create/destroy, the waiter claim — happens under ps.lock with the same
-// robust-seizure discipline as the descriptor locks (lock order:
-// ps.lock -> LnvcDesc.lock, matching bucket -> descriptor).
-#include <vector>
+// Ready sets, watches, poll sets and pulses (DESIGN.md §14): the one way
+// to wait on many circuits, shared by receive_any (lnvc.cpp) and poll
+// sets.  A waiter arms a watch on each idle receive connection it cares
+// about; the next event that could make it deliverable fires the watch
+// under the descriptor lock (mark the slot in the waiter's ready bitmap,
+// unpark the waiter, disarm); the waiter pops marked slots, revalidates
+// each under its lock, and delivers or re-arms.  Lock order: PollSet::lock
+// -> LnvcDesc::lock, matching bucket -> descriptor.
+#include <algorithm>
+#include <bit>
 
 #include "mpf/core/facility.hpp"
 
@@ -16,76 +15,209 @@ namespace mpf {
 
 namespace {
 
-/// Per-pollset member storage views (arena carves; see layout.hpp).
-struct PsArrays {
-  std::uint32_t* members;
-  std::uint32_t* ready_next;
-  std::atomic<std::uint32_t>* queued;
-};
+constexpr std::uint64_t bit_of(std::uint32_t i) {
+  return std::uint64_t{1} << (i & 63);
+}
+
+/// Take one bit of ready word `w` among `eligible`; -1 if none.  A word
+/// seen empty gets its summary bit cleared and re-checked, so a fire that
+/// lands in between restores the summary bit (or is seen by the re-check).
+std::int64_t take_bit(const detail::ReadyBits& b, std::uint32_t w,
+                      std::uint64_t eligible) {
+  for (;;) {
+    const std::uint64_t v = b.ready[w].load(std::memory_order_seq_cst);
+    if ((v & eligible) == 0) {
+      if (v == 0) {
+        b.summary[w >> 6].fetch_and(~bit_of(w), std::memory_order_seq_cst);
+        if (b.ready[w].load(std::memory_order_seq_cst) != 0) {
+          b.summary[w >> 6].fetch_or(bit_of(w), std::memory_order_seq_cst);
+        }
+      }
+      return -1;
+    }
+    const auto i = static_cast<std::uint32_t>(std::countr_zero(v & eligible));
+    const std::uint64_t mask = std::uint64_t{1} << i;
+    if ((b.ready[w].fetch_and(~mask, std::memory_order_seq_cst) & mask) != 0) {
+      return static_cast<std::int64_t>(w) * 64 + i;
+    }
+  }
+}
 
 }  // namespace
 
-static PsArrays ps_arrays(const shm::Arena& arena, detail::PollSet& ps) {
-  return PsArrays{
-      static_cast<std::uint32_t*>(arena.raw(ps.members)),
-      static_cast<std::uint32_t*>(arena.raw(ps.ready_next)),
-      static_cast<std::atomic<std::uint32_t>*>(arena.raw(ps.queued)),
+detail::ReadySet& Facility::any_set(ProcessId pid) const noexcept {
+  return static_cast<detail::ReadySet*>(arena_.raw(header_->any_sets))[pid];
+}
+
+detail::ReadyBits Facility::ready_bits(
+    const detail::ReadySet& rs) const noexcept {
+  auto* base = static_cast<std::atomic<std::uint64_t>*>(arena_.raw(rs.bits));
+  const std::uint32_t words = header_->ready_words;
+  auto* ready = base + header_->summary_words;
+  return detail::ReadyBits{base, ready, ready + words};
+}
+
+bool Facility::pop_ready(const detail::ReadyBits& b, std::uint32_t from,
+                         std::uint32_t* slot) const noexcept {
+  const std::uint32_t words = header_->ready_words;
+  if (from >= header_->max_lnvcs) from = 0;
+  const std::uint32_t w0 = from >> 6;
+  // Rotation from `from`: the tail of its word, every later word, the
+  // earlier words (wrapping), and finally the head of its word.
+  std::int64_t got = take_bit(b, w0, ~std::uint64_t{0} << (from & 63));
+  // Later words in [lo, hi), found through the summary level.
+  const auto scan = [&](std::uint32_t lo, std::uint32_t hi) -> std::int64_t {
+    for (std::uint32_t w = lo; w < hi;) {
+      const std::uint32_t sw = w >> 6;
+      const std::uint64_t m = b.summary[sw].load(std::memory_order_seq_cst) &
+                              (~std::uint64_t{0} << (w & 63));
+      if (m == 0) {
+        w = (sw + 1) * 64;
+        continue;
+      }
+      w = sw * 64 + static_cast<std::uint32_t>(std::countr_zero(m));
+      if (w >= hi) break;
+      const std::int64_t r = take_bit(b, w, ~std::uint64_t{0});
+      if (r >= 0) return r;
+      ++w;
+    }
+    return -1;
   };
-}
-
-/// Push member `m` onto the ready stack unless it is already queued.
-/// ready_next[m] is stable while queued[m] == 1 (pushers skip), so the
-/// plain link store cannot race the popper's walk.
-static void ps_push(detail::PollSet& ps, const PsArrays& a, std::uint32_t m) {
-  if (a.queued[m].exchange(1, std::memory_order_seq_cst) != 0) return;
-  std::uint32_t top = ps.ready_head.load(std::memory_order_relaxed);
-  do {
-    a.ready_next[m] = top;
-  } while (!ps.ready_head.compare_exchange_weak(top, m + 1,
-                                                std::memory_order_seq_cst,
-                                                std::memory_order_relaxed));
-}
-
-void Facility::pollset_signal(detail::LnvcDesc& d) {
-  // One seq_cst load on circuits that belong to no poll set — the common
-  // case on every send.  The load pairs with pollset_wait's re-arm store:
-  // either we see the arming (and push), or the waiter's Dekker recheck
-  // sees our enqueue.
-  const std::uint32_t psi1 = d.pollset_id.load(std::memory_order_seq_cst);
-  if (psi1 == 0 || psi1 > header_->max_pollsets) return;
-  if (d.ready_armed.exchange(0, std::memory_order_seq_cst) != 1) return;
-  detail::PollSet& ps = pollset_table()[psi1 - 1];
-  const std::uint32_t m = d.pollset_mslot.load(std::memory_order_seq_cst);
-  // Generation / membership are validated by the waiter under the locks; a
-  // stale push lands as a spurious ready entry and is discarded there.
-  if (m < header_->pollset_capacity) {
-    const PsArrays a = ps_arrays(arena_, ps);
-    ps_push(ps, a, m);
-    header_->pollset_wakes.fetch_add(1, std::memory_order_relaxed);
-    ps.wakes.fetch_add(1, std::memory_order_relaxed);
+  if (got < 0) got = scan(w0 + 1, words);
+  if (got < 0) got = scan(0, w0);
+  if (got < 0 && (from & 63) != 0) {
+    got = take_bit(b, w0, ~(~std::uint64_t{0} << (from & 63)));
   }
-  const std::uint32_t w = ps.waiter_pid.load(std::memory_order_seq_cst);
-  if (w != 0 && w - 1 < header_->max_processes) {
-    platform_->unpark(pslot(w - 1).park_node);
-  }
+  if (got < 0) return false;
+  *slot = static_cast<std::uint32_t>(got);
+  return true;
 }
 
-bool Facility::pollset_ready_locked(detail::LnvcDesc& d) {
-  // Descriptor lock held.  Settle any lock-free pushes first so the
-  // deliverability answer covers them.
+void Facility::reset_ready_set(detail::ReadySet& rs) const noexcept {
+  const std::size_t n =
+      header_->summary_words + 2 * std::size_t{header_->ready_words};
+  auto* w = static_cast<std::atomic<std::uint64_t>*>(arena_.raw(rs.bits));
+  for (std::size_t i = 0; i < n; ++i) w[i].store(0, std::memory_order_relaxed);
+  rs.cursor.store(0, std::memory_order_relaxed);
+  rs.epoch.fetch_add(1, std::memory_order_seq_cst);
+}
+
+bool Facility::conn_ready(detail::LnvcDesc& d, const detail::Connection& c,
+                          bool pulses) {
+  // Settle lock-free pushes first so the answer covers them.
   if (header_->lockfree_fcfs != 0) drain_injection(d);
-  for (const auto& p : d.pulses) {
-    if (p.count != 0) return true;
+  if (c.is_fcfs() ? static_cast<bool>(d.fcfs_head)
+                  : c.bcast_head != shm::kNullOffset) {
+    return true;
   }
-  if (d.n_queued > 0) return true;
-  shm::Offset c_off = d.connections.off;
-  while (c_off != shm::kNullOffset) {
-    auto* conn = static_cast<detail::Connection*>(arena_.raw(c_off));
-    if (conn->is_bcast() && conn->bcast_head != shm::kNullOffset) return true;
-    c_off = conn->next;
+  if (pulses) {
+    for (const auto& p : d.pulses) {
+      if (p.count != 0) return true;
+    }
   }
   return false;
 }
+
+void Facility::watch_fire(detail::LnvcDesc& d, detail::Connection& c,
+                          std::uint32_t mask) {
+  const std::uint32_t fire = c.armed & mask;
+  if (fire == 0) return;
+  const auto s = static_cast<std::uint32_t>(&d - table());
+  // Mark before disarming: a firer dying in between leaves the watch both
+  // armed and marked, which the waiter's revalidation absorbs.
+  if ((fire & detail::Connection::kWatchAny) != 0 &&
+      c.process_id < header_->max_processes) {
+    detail::mark_ready(ready_bits(any_set(c.process_id)), s);
+    platform_->unpark(pslot(c.process_id).park_node);
+    header_->wakes.fetch_add(1, std::memory_order_relaxed);
+  }
+  if ((fire & detail::Connection::kWatchPoll) != 0 &&
+      c.pollset - 1 < header_->max_pollsets) {
+    detail::PollSet& ps = pollset_table()[c.pollset - 1];
+    detail::mark_ready(ready_bits(ps.rs), s);
+    header_->pollset_wakes.fetch_add(1, std::memory_order_relaxed);
+    const std::uint32_t w = ps.waiter_pid.load(std::memory_order_seq_cst);
+    if (w != 0 && w - 1 < header_->max_processes) {
+      platform_->unpark(pslot(w - 1).park_node);
+    }
+  }
+  watch_disarm(d, c, fire);
+}
+
+void Facility::watch_fire_all(detail::LnvcDesc& d, std::uint32_t mask) {
+  if (d.armed.load(std::memory_order_relaxed) == 0) return;
+  for (shm::Offset off = d.connections.off; off != shm::kNullOffset;) {
+    auto* c = static_cast<detail::Connection*>(arena_.raw(off));
+    watch_fire(d, *c, mask);
+    off = c->next;
+  }
+}
+
+bool Facility::watch_arm(detail::LnvcDesc& d, detail::Connection& c,
+                         std::uint32_t bit, bool pulses) {
+  if ((c.armed & bit) == 0) {
+    c.armed |= bit;
+    d.armed.fetch_add(1, std::memory_order_seq_cst);
+  }
+  // Dekker recheck: a lock-free sender pushes (seq_cst CAS) and then loads
+  // d.armed (seq_cst).  Either it sees our arming and fires under the
+  // lock, or its push precedes our increment and this load sees it.
+  if (header_->lockfree_fcfs != 0 &&
+      d.inject_head.load(std::memory_order_seq_cst) != shm::kNullOffset &&
+      conn_ready(d, c, pulses)) {
+    watch_disarm(d, c, bit);
+    return true;
+  }
+  return false;
+}
+
+void Facility::watch_disarm(detail::LnvcDesc& d, detail::Connection& c,
+                            std::uint32_t bits) {
+  const std::uint32_t clear = c.armed & bits;
+  if (clear == 0) return;
+  c.armed &= ~clear;
+  d.armed.fetch_sub(static_cast<std::uint32_t>(std::popcount(clear)),
+                    std::memory_order_seq_cst);
+}
+
+void Facility::park_on_set(ProcessId pid, const detail::ReadyBits& b,
+                           std::uint64_t deadline) {
+  // Epoch snapshot before the recheck: a firer marks first and unparks
+  // after, so a mark the recheck misses has moved the epoch already.
+  detail::ProcSlot& self = pslot(pid);
+  const std::uint32_t epoch = sync::Parker::prepare(self.park_node);
+  for (std::uint32_t w = 0; w < header_->summary_words; ++w) {
+    if (b.summary[w].load(std::memory_order_seq_cst) != 0) return;
+  }
+  std::uint64_t park_deadline =
+      deadline == kNoDeadline ? sync::kNoParkDeadline : deadline;
+  if (header_->suspicion_ns != 0) {
+    park_deadline = std::min(park_deadline,
+                             platform_->now_ns() + header_->suspicion_ns);
+  }
+  header_->parks.fetch_add(1, std::memory_order_relaxed);
+  if (platform_->park(self.park_node, epoch, park_deadline,
+                      header_->park_spin_ns)) {
+    return;
+  }
+  // Suspicion expiry with no wake: a watched circuit's lock may be held by
+  // a process that died mid-send, owing us a fire.  Seizing the lock runs
+  // the repair, which fires every watch on the circuit.
+  for (std::uint32_t w = 0; w < header_->ready_words; ++w) {
+    for (std::uint64_t m = b.member[w].load(std::memory_order_relaxed); m != 0;
+         m &= m - 1) {
+      detail::LnvcDesc& d =
+          table()[w * 64 + static_cast<std::uint32_t>(std::countr_zero(m))];
+      const std::uint32_t tag = d.lock.holder_tag();
+      if (tag < 2 || process_alive(sync::SpinLock::pid_of(tag))) continue;
+      const ProcessId dead = alock_lnvc(d, pid);
+      platform_->unlock(d.lock);
+      reap_if_dead(pid, dead);
+    }
+  }
+}
+
+// ---------------------------------------------------------------- poll sets
 
 Status Facility::pollset_create(ProcessId pid, PollSetId* out) {
   if (out == nullptr || pid >= header_->max_processes) {
@@ -103,18 +235,8 @@ Status Facility::pollset_create(ProcessId pid, PollSetId* out) {
       platform_->unlock(ps.lock);
       continue;
     }
-    ps.owner_pid = pid;
-    ps.n_members = 0;
-    ps.ready_head.store(0, std::memory_order_relaxed);
+    ps.owner_pid = pid;  // the ready set was cleared by the last destroy
     ps.waiter_pid.store(0, std::memory_order_relaxed);
-    // Scrub member storage: a signal racing the previous destroy may have
-    // left queued flags or stale links behind.
-    const PsArrays a = ps_arrays(arena_, ps);
-    for (std::uint32_t k = 0; k < header_->pollset_capacity; ++k) {
-      a.members[k] = 0;
-      a.ready_next[k] = 0;
-      a.queued[k].store(0, std::memory_order_relaxed);
-    }
     ps.in_use = 1;
     platform_->unlock(ps.lock);
     *out = static_cast<PollSetId>(i);
@@ -126,29 +248,33 @@ Status Facility::pollset_create(ProcessId pid, PollSetId* out) {
 }
 
 void Facility::pollset_destroy_locked(ProcessId pid, detail::PollSet& ps) {
-  const auto psi1 =
-      static_cast<std::uint32_t>(&ps - pollset_table()) + 1;
-  const PsArrays a = ps_arrays(arena_, ps);
+  const auto psi1 = static_cast<std::uint32_t>(&ps - pollset_table()) + 1;
+  const detail::ReadyBits b = ready_bits(ps.rs);
   ProcessId dead = kNoProcess;
-  for (std::uint32_t i = 0; i < ps.n_members; ++i) {
-    const std::uint32_t s1 = a.members[i];
-    a.members[i] = 0;
-    a.queued[i].store(0, std::memory_order_relaxed);
-    if (s1 == 0 || s1 > header_->max_lnvcs) continue;
-    detail::LnvcDesc& d = table()[s1 - 1];
-    const ProcessId seized = alock_lnvc(d, pid);
-    if (seized != kNoProcess && dead == kNoProcess) dead = seized;
-    if (d.in_use != 0 &&
-        d.pollset_id.load(std::memory_order_relaxed) == psi1 &&
-        d.pollset_gen.load(std::memory_order_relaxed) == ps.generation) {
-      d.pollset_id.store(0, std::memory_order_seq_cst);
-      d.ready_armed.store(0, std::memory_order_relaxed);
+  // Detach every member connection (member bits mirror them; a member
+  // whose connection already closed just has its bit dropped).
+  for (std::uint32_t w = 0; w < header_->ready_words; ++w) {
+    std::uint64_t m = b.member[w].load(std::memory_order_relaxed);
+    while (m != 0) {
+      const std::uint32_t s =
+          w * 64 + static_cast<std::uint32_t>(std::countr_zero(m));
+      m &= m - 1;
+      detail::LnvcDesc& d = table()[s];
+      const ProcessId seized = alock_lnvc(d, pid);
+      if (seized != kNoProcess && dead == kNoProcess) dead = seized;
+      detail::Connection* c =
+          d.in_use != 0 ? find_conn(d, ps.owner_pid, /*sender=*/false)
+                        : nullptr;
+      if (c != nullptr && c->pollset == psi1) {
+        watch_disarm(d, *c, detail::Connection::kWatchPoll);
+        c->pollset = 0;
+      }
+      b.member[w].fetch_and(~bit_of(s), std::memory_order_relaxed);
+      platform_->unlock(d.lock);
     }
-    platform_->unlock(d.lock);
   }
-  ps.n_members = 0;
-  ps.ready_head.store(0, std::memory_order_seq_cst);
-  ++ps.generation;  // stale waiter / signal guard
+  reset_ready_set(ps.rs);
+  ++ps.generation;  // stale waiter guard
   ps.in_use = 0;
   ps.owner_pid = 0;
   const std::uint32_t w = ps.waiter_pid.exchange(0, std::memory_order_seq_cst);
@@ -184,65 +310,43 @@ Status Facility::pollset_add(ProcessId pid, PollSetId psid, LnvcId id) {
   }
   detail::PollSet& ps = pollset_table()[psid];
   ProcessId dead = alock(ps.lock, pid);
-  if (ps.in_use == 0 || ps.owner_pid != pid) {
-    const Status st =
-        ps.in_use == 0 ? Status::no_such_lnvc : Status::not_connected;
-    platform_->unlock(ps.lock);
-    reap_if_dead(pid, dead);
-    return st;
-  }
-  const PsArrays a = ps_arrays(arena_, ps);
-  std::uint32_t mslot = ~std::uint32_t{0};
-  for (std::uint32_t i = 0; i < ps.n_members; ++i) {
-    if (a.members[i] == 0) {
-      mslot = i;
-      break;
+  Status st = ps.in_use == 0        ? Status::no_such_lnvc
+              : ps.owner_pid != pid ? Status::not_connected
+                                    : Status::ok;
+  std::uint32_t waiter = 0;
+  if (st == Status::ok) {
+    const ProcessId seized = alock_lnvc(*d, pid);
+    if (dead == kNoProcess) dead = seized;
+    detail::Connection* c =
+        d->in_use != 0 ? find_conn(*d, pid, /*sender=*/false) : nullptr;
+    if (c == nullptr) {
+      st = d->in_use == 0 ? Status::no_such_lnvc : Status::not_connected;
+    } else {
+      // At most one poll set per circuit, whichever connection enrolled it.
+      for (shm::Offset off = d->connections.off; off != shm::kNullOffset;) {
+        const auto* o = static_cast<const detail::Connection*>(arena_.raw(off));
+        if (o->pollset != 0) st = Status::rejected;
+        off = o->next;
+      }
     }
-  }
-  if (mslot == ~std::uint32_t{0}) {
-    if (ps.n_members >= header_->pollset_capacity) {
-      platform_->unlock(ps.lock);
-      reap_if_dead(pid, dead);
-      return Status::table_full;
+    if (st == Status::ok) {
+      const auto s = static_cast<std::uint32_t>(d - table());
+      const detail::ReadyBits b = ready_bits(ps.rs);
+      c->pollset = static_cast<std::uint32_t>(psid) + 1;
+      b.member[s >> 6].fetch_or(bit_of(s), std::memory_order_relaxed);
+      // Prime ready: the first wait must observe messages queued before
+      // the add, so the member starts marked (its revalidation arms it).
+      detail::mark_ready(b, s);
+      waiter = ps.waiter_pid.load(std::memory_order_seq_cst);
     }
-    mslot = ps.n_members;
-  }
-  const ProcessId seized = alock_lnvc(*d, pid);
-  if (seized != kNoProcess && dead == kNoProcess) dead = seized;
-  Status st = Status::ok;
-  if (d->in_use == 0) {
-    st = Status::no_such_lnvc;
-  } else if (find_conn(*d, pid, /*sender=*/false) == nullptr) {
-    st = Status::not_connected;
-  } else if (d->pollset_id.load(std::memory_order_relaxed) != 0) {
-    st = Status::rejected;  // at most one poll set per circuit
-  }
-  if (st != Status::ok) {
     platform_->unlock(d->lock);
-    platform_->unlock(ps.lock);
-    reap_if_dead(pid, dead);
-    return st;
   }
-  const auto slot1 = static_cast<std::uint32_t>(d - table()) + 1;
-  a.members[mslot] = slot1;
-  if (mslot == ps.n_members) ++ps.n_members;
-  d->pollset_mslot.store(mslot, std::memory_order_seq_cst);
-  d->pollset_gen.store(ps.generation, std::memory_order_seq_cst);
-  d->ready_armed.store(0, std::memory_order_seq_cst);
-  d->pollset_id.store(static_cast<std::uint32_t>(psid) + 1,
-                      std::memory_order_seq_cst);  // id last: signals key on it
-  // Prime ready: the first wait must observe messages queued before the
-  // add, so the member enters the stack unconditionally (level-triggered
-  // validation discards it if the circuit turns out idle).
-  ps_push(ps, a, mslot);
-  platform_->unlock(d->lock);
-  const std::uint32_t w = ps.waiter_pid.load(std::memory_order_seq_cst);
   platform_->unlock(ps.lock);
-  if (w != 0 && w - 1 < header_->max_processes) {
-    platform_->unpark(pslot(w - 1).park_node);
+  if (waiter != 0 && waiter - 1 < header_->max_processes) {
+    platform_->unpark(pslot(waiter - 1).park_node);
   }
   reap_if_dead(pid, dead);
-  return Status::ok;
+  return st;
 }
 
 Status Facility::pollset_remove(ProcessId pid, PollSetId psid, LnvcId id) {
@@ -253,36 +357,30 @@ Status Facility::pollset_remove(ProcessId pid, PollSetId psid, LnvcId id) {
   }
   detail::PollSet& ps = pollset_table()[psid];
   ProcessId dead = alock(ps.lock, pid);
-  if (ps.in_use == 0 || ps.owner_pid != pid) {
-    const Status st =
-        ps.in_use == 0 ? Status::no_such_lnvc : Status::not_connected;
-    platform_->unlock(ps.lock);
-    reap_if_dead(pid, dead);
-    return st;
-  }
-  const ProcessId seized = alock_lnvc(*d, pid);
-  if (seized != kNoProcess && dead == kNoProcess) dead = seized;
-  if (d->in_use == 0 ||
-      d->pollset_id.load(std::memory_order_relaxed) !=
-          static_cast<std::uint32_t>(psid) + 1 ||
-      d->pollset_gen.load(std::memory_order_relaxed) != ps.generation) {
+  Status st = ps.in_use == 0        ? Status::no_such_lnvc
+              : ps.owner_pid != pid ? Status::not_connected
+                                    : Status::ok;
+  if (st == Status::ok) {
+    const ProcessId seized = alock_lnvc(*d, pid);
+    if (dead == kNoProcess) dead = seized;
+    detail::Connection* c =
+        d->in_use != 0 ? find_conn(*d, pid, /*sender=*/false) : nullptr;
+    if (c == nullptr || c->pollset != static_cast<std::uint32_t>(psid) + 1) {
+      st = Status::not_connected;
+    } else {
+      watch_disarm(*d, *c, detail::Connection::kWatchPoll);
+      c->pollset = 0;
+      // A mark still pending for the slot dies at the next wait's member
+      // check.
+      const auto s = static_cast<std::uint32_t>(d - table());
+      ready_bits(ps.rs).member[s >> 6].fetch_and(~bit_of(s),
+                                                 std::memory_order_relaxed);
+    }
     platform_->unlock(d->lock);
-    platform_->unlock(ps.lock);
-    reap_if_dead(pid, dead);
-    return Status::not_connected;
   }
-  const std::uint32_t m = d->pollset_mslot.load(std::memory_order_relaxed);
-  d->pollset_id.store(0, std::memory_order_seq_cst);
-  d->ready_armed.store(0, std::memory_order_relaxed);
-  const PsArrays a = ps_arrays(arena_, ps);
-  const auto slot1 = static_cast<std::uint32_t>(d - table()) + 1;
-  if (m < header_->pollset_capacity && a.members[m] == slot1) {
-    a.members[m] = 0;  // a queued ready entry for m dies at validation
-  }
-  platform_->unlock(d->lock);
   platform_->unlock(ps.lock);
   reap_if_dead(pid, dead);
-  return Status::ok;
+  return st;
 }
 
 Status Facility::pollset_wait(ProcessId pid, PollSetId psid, LnvcId* out,
@@ -300,7 +398,8 @@ Status Facility::pollset_wait(ProcessId pid, PollSetId psid, LnvcId* out,
     return Status::no_such_lnvc;
   }
   const std::uint32_t generation = ps.generation;
-  // Single-waiter claim for the whole call: senders unpark whoever this
+  const auto psi1 = static_cast<std::uint32_t>(psid) + 1;
+  // Single-waiter claim for the whole call: fires unpark whoever this
   // word names.  A dead claimant is seized under ps.lock (it can never
   // clear the word again).
   std::uint32_t expect = 0;
@@ -322,9 +421,7 @@ Status Facility::pollset_wait(ProcessId pid, PollSetId psid, LnvcId* out,
     deadline = now + timeout_ns;
     if (deadline < now) deadline = kNoDeadline;  // saturate huge timeouts
   }
-  const PsArrays a = ps_arrays(arena_, ps);
-  const std::uint32_t cap = header_->pollset_capacity;
-  std::vector<std::uint32_t> batch;
+  const detail::ReadyBits b = ready_bits(ps.rs);
   Status result = Status::timed_out;
   for (;;) {
     // ps.lock held at the top of every pass.
@@ -332,110 +429,46 @@ Status Facility::pollset_wait(ProcessId pid, PollSetId psid, LnvcId* out,
       result = Status::closed;  // destroyed under us
       break;
     }
-    // Pop the whole ready stack.  We are the single consumer (lock +
-    // waiter claim), so exchange-to-empty is a clean cut; ready_next links
-    // are stable for every popped member until its queued flag clears.
-    batch.clear();
-    std::uint32_t head = ps.ready_head.exchange(0, std::memory_order_seq_cst);
-    while (head != 0 && batch.size() <= cap) {
-      const std::uint32_t m = head - 1;
-      if (m >= cap) break;
-      batch.push_back(m);
-      head = a.ready_next[m];
-    }
-    std::uint32_t found = 0;  // LnvcDesc slot + 1
-    for (const std::uint32_t m : batch) {
-      a.queued[m].store(0, std::memory_order_seq_cst);
-      if (found != 0) {
-        // Already have a winner: preserve the rest for the next wait.
-        ps_push(ps, a, m);
-        continue;
+    std::uint32_t s = 0;
+    bool found = false;
+    while (!found &&
+           pop_ready(b, ps.rs.cursor.load(std::memory_order_relaxed), &s)) {
+      if ((b.member[s >> 6].load(std::memory_order_relaxed) & bit_of(s)) ==
+          0) {
+        continue;  // a mark for a removed member
       }
-      const std::uint32_t s1 = a.members[m];
-      if (s1 == 0 || s1 > header_->max_lnvcs) continue;  // removed / stale
-      detail::LnvcDesc& d = table()[s1 - 1];
+      detail::LnvcDesc& d = table()[s];
       const ProcessId seized = alock_lnvc(d, pid);
       if (seized != kNoProcess && dead == kNoProcess) dead = seized;
-      const bool mine =
-          d.in_use != 0 &&
-          d.pollset_id.load(std::memory_order_relaxed) ==
-              static_cast<std::uint32_t>(psid) + 1 &&
-          d.pollset_gen.load(std::memory_order_relaxed) == generation &&
-          d.pollset_mslot.load(std::memory_order_relaxed) == m;
-      if (!mine) {
-        // Stale membership (the circuit was destroyed or moved on without
-        // an explicit remove — e.g. reaped): reclaim the member hole so
-        // churning circuits cannot fill the table.  Safe under ps.lock.
-        if (d.in_use == 0 ||
-            d.pollset_id.load(std::memory_order_relaxed) !=
-                static_cast<std::uint32_t>(psid) + 1 ||
-            d.pollset_gen.load(std::memory_order_relaxed) != generation) {
-          a.members[m] = 0;
-        }
+      header_->any_rescans.fetch_add(1, std::memory_order_relaxed);
+      detail::Connection* c =
+          d.in_use != 0 ? find_conn(d, ps.owner_pid, /*sender=*/false)
+                        : nullptr;
+      if (c == nullptr || c->pollset != psi1) {
+        // The member connection closed (or the circuit died): drop it.
+        b.member[s >> 6].fetch_and(~bit_of(s), std::memory_order_relaxed);
         platform_->unlock(d.lock);
         continue;
       }
-      if (pollset_ready_locked(d)) {
-        found = s1;
-        platform_->unlock(d.lock);
-        ps_push(ps, a, m);  // level-triggered: undrained => ready next time
-        continue;
-      }
-      // Idle: re-arm so the next deliverable event pushes, then Dekker
-      // recheck — a lock-free sender that missed the arming published its
-      // message before our seq_cst store, so this load sees it.
-      d.ready_armed.store(1, std::memory_order_seq_cst);
-      if (header_->lockfree_fcfs != 0 &&
-          d.inject_head.load(std::memory_order_seq_cst) != shm::kNullOffset &&
-          pollset_ready_locked(d)) {
-        d.ready_armed.store(0, std::memory_order_relaxed);
-        found = s1;
-        platform_->unlock(d.lock);
-        ps_push(ps, a, m);
-        continue;
-      }
+      found = conn_ready(d, *c, /*pulses=*/true) ||
+              watch_arm(d, *c, detail::Connection::kWatchPoll,
+                        /*pulses=*/true);
       platform_->unlock(d.lock);
     }
-    if (found != 0) {
-      *out = static_cast<LnvcId>(found - 1);
+    if (found) {
+      // Level-triggered: stays marked until a wait finds it drained.
+      detail::mark_ready(b, s);
+      ps.rs.cursor.store(s + 1, std::memory_order_relaxed);
+      *out = static_cast<LnvcId>(s);
       result = Status::ok;
       break;
     }
     if (timeout_ns == 0) break;  // poll: one full pass, then timed_out
     if (deadline != kNoDeadline && platform_->now_ns() >= deadline) break;
-    // Nothing ready: park on our wait node.  Epoch snapshot before the
-    // unlock; any push after it bumps the epoch (the pusher reads
-    // waiter_pid after its CAS), so the recheck + park cannot lose a wake.
-    detail::ProcSlot& self = pslot(pid);
-    const std::uint32_t epoch = sync::Parker::prepare(self.park_node);
     platform_->unlock(ps.lock);
-    bool woken = true;
-    if (ps.ready_head.load(std::memory_order_seq_cst) == 0) {
-      std::uint64_t park_deadline =
-          deadline == kNoDeadline ? sync::kNoParkDeadline : deadline;
-      const std::uint64_t suspicion = header_->suspicion_ns;
-      if (suspicion != 0) {
-        const std::uint64_t cap_ns = platform_->now_ns() + suspicion;
-        if (cap_ns < park_deadline) park_deadline = cap_ns;
-      }
-      header_->parks.fetch_add(1, std::memory_order_relaxed);
-      woken = platform_->park(self.park_node, epoch, park_deadline,
-                              header_->park_spin_ns);
-    }
+    park_on_set(pid, b, deadline);
     const ProcessId seized = alock(ps.lock, pid);
     if (seized != kNoProcess && dead == kNoProcess) dead = seized;
-    if (!woken && ps.in_use != 0 && ps.generation == generation) {
-      // Suspicion expiry with no wake: self-heal against a pusher that
-      // died between winning the arming and finishing the CAS push (its
-      // queued flag may wedge the member).  Re-queue every live member;
-      // the next pass re-validates them all level-triggered.
-      for (std::uint32_t i = 0; i < ps.n_members; ++i) {
-        if (a.members[i] != 0) {
-          a.queued[i].store(0, std::memory_order_seq_cst);
-          ps_push(ps, a, i);
-        }
-      }
-    }
   }
   std::uint32_t self_claim = pid + 1;
   ps.waiter_pid.compare_exchange_strong(self_claim, 0,
@@ -444,6 +477,8 @@ Status Facility::pollset_wait(ProcessId pid, PollSetId psid, LnvcId* out,
   reap_if_dead(pid, dead);
   return result;
 }
+
+// ------------------------------------------------------------------- pulses
 
 Status Facility::send_pulse(ProcessId pid, LnvcId id, std::uint32_t code) {
   detail::LnvcDesc* d = slot(id);
@@ -483,13 +518,14 @@ Status Facility::send_pulse(ProcessId pid, LnvcId id, std::uint32_t code) {
   }
   if (st == Status::ok) {
     header_->pulses_sent.fetch_add(1, std::memory_order_relaxed);
+    // Pulses are not messages: only poll-set watches care about them.
+    watch_fire_all(*d, detail::Connection::kWatchPoll);
   }
   platform_->unlock(d->lock);
   if (st == Status::ok) {
-    // Pulses are not messages: receive/claim paths ignore them, so only
-    // the cond (spurious, rechecked) and the poll set need waking.
+    // Receive/claim paths ignore pulses; the cond wake is spurious and
+    // rechecked, kept for waiters that poll pulses between receives.
     platform_->notify_all(d->cond);
-    pollset_signal(*d);
   }
   reap_if_dead(pid, dead);
   return st;

@@ -289,6 +289,15 @@ void Facility::repair_lnvc(detail::LnvcDesc& d) {
   d.msg_tail = shm::Ref<detail::MsgHeader>{last};
   d.fcfs_head = shm::Ref<detail::MsgHeader>{first_unconsumed};
   d.n_queued = unconsumed;
+  // Watches: the holder may have linked a message without firing them, or
+  // died between a watch bit and the count.  Fire every armed watch (a
+  // spurious fire costs one revalidation) and restart the count at zero.
+  for (shm::Offset c_off = d.connections.off; c_off != shm::kNullOffset;) {
+    auto* c = static_cast<detail::Connection*>(arena_.raw(c_off));
+    watch_fire(d, *c, ~std::uint32_t{0});
+    c_off = c->next;
+  }
+  d.armed.store(0, std::memory_order_seq_cst);
   // The quota ledger is derived state too: recompute it from the FIFO
   // (each queued message carries its own cost) plus every armed
   // reservation journal on this circuit and generation.  Journals arm and
@@ -622,6 +631,9 @@ Status Facility::reap(ProcessId reaper, ProcessId pid) {
         link = &conn->next;
         continue;
       }
+      // Its watches point at the dead process's own ready set (reset
+      // below) or its poll set (destroyed below): drop them silently.
+      watch_disarm(d, *conn, ~std::uint32_t{0});
       if (conn->is_bcast()) {
         // Unread claims of the dead receiver release, as if it had closed.
         shm::Offset m_off = conn->bcast_head;
@@ -666,6 +678,7 @@ Status Facility::reap(ProcessId reaper, ProcessId pid) {
       // Blocked receivers must reconsider: their sender may be gone
       // (lnvc_orphaned) or a released claim may have freed a message.
       platform_->notify_all(d.cond);
+      if (d.last_sender_died != 0) watch_fire_all(d, ~std::uint32_t{0});
       if (header_->lockfree_fcfs != 0) {
         rpark_wake(d, d.generation, /*all=*/true);
       }
@@ -739,12 +752,12 @@ Status Facility::reap(ProcessId reaper, ProcessId pid) {
   }
 
   // 4. Repair monitor membership the death leaked, then wake everyone who
-  //    might have been waiting on the dead process.
+  //    might have been waiting on the dead process.  Its receive_any set
+  //    is watched by nothing now (every connection closed above); clear it
+  //    for the pid's next incarnation.
+  reset_ready_set(any_set(pid));
   if (ps.in_exhaustion.exchange(0, std::memory_order_acq_rel) != 0) {
     header_->exhaustion_waiters.fetch_sub(1, std::memory_order_acq_rel);
-  }
-  if (ps.in_activity.exchange(0, std::memory_order_acq_rel) != 0) {
-    header_->activity_waiters.fetch_sub(1, std::memory_order_acq_rel);
   }
   if (ps.park_active.exchange(0, std::memory_order_acq_rel) != 0) {
     // Died parked in a quota FIFO: clearing the membership flag above
@@ -786,9 +799,6 @@ Status Facility::reap(ProcessId reaper, ProcessId pid) {
   alock(header_->blocks_lock, reaper);
   platform_->unlock(header_->blocks_lock);
   platform_->notify_all(header_->blocks_cond);
-  alock(header_->activity_lock, reaper);
-  platform_->unlock(header_->activity_lock);
-  platform_->notify_all(header_->activity_cond);
 
   header_->reaps.fetch_add(1, std::memory_order_relaxed);
   return Status::ok;

@@ -366,6 +366,50 @@ TEST(PollSet, DeadOwnerIsReapedAndMembersDetach) {
   EXPECT_TRUE(InvariantOracle::check(f, /*quiescent=*/false).ok());
 }
 
+TEST(PollSet, MembershipIsTheOwnersReceiveConnection) {
+  // Readiness is judged for the owner's connection, and membership ends
+  // with it: once the owner closes its receive connection the set stops
+  // reporting the circuit and another set may enroll it.
+  Config c = dir_config(/*buckets=*/4);
+  c.max_pollsets = 2;
+  shm::HeapRegion region(c.derived_arena_bytes());
+  Facility f = Facility::create(c, region);
+
+  LnvcId tx = kInvalidLnvc, rx0 = kInvalidLnvc, rx1 = kInvalidLnvc;
+  ASSERT_EQ(f.open_send(2, "wire", &tx), Status::ok);
+  ASSERT_EQ(f.open_receive(0, "wire", Protocol::broadcast, &rx0),
+            Status::ok);
+  ASSERT_EQ(f.open_receive(1, "wire", Protocol::broadcast, &rx1),
+            Status::ok);
+  PollSetId ps = kInvalidPollSet, other = kInvalidPollSet;
+  ASSERT_EQ(f.pollset_create(0, &ps), Status::ok);
+  ASSERT_EQ(f.pollset_create(1, &other), Status::ok);
+  ASSERT_EQ(f.pollset_add(0, ps, rx0), Status::ok);
+  LnvcId ready = kInvalidLnvc;
+  while (f.pollset_wait(0, ps, &ready, 0) == Status::ok) {
+  }
+
+  // A broadcast only pid 1 has left to read does not make pid 0's set
+  // ready.
+  ASSERT_EQ(f.send(2, tx, "m", 1), Status::ok);
+  ASSERT_EQ(f.pollset_wait(0, ps, &ready, 0), Status::ok);
+  EXPECT_EQ(ready, rx0);
+  char buf[8];
+  std::size_t got = 0;
+  ASSERT_EQ(f.receive(0, rx0, buf, sizeof buf, &got), Status::ok);
+  EXPECT_EQ(f.pollset_wait(0, ps, &ready, 0), Status::timed_out);
+
+  // The owner closes its connection: the circuit leaves the set.
+  ASSERT_EQ(f.close_receive(0, rx0), Status::ok);
+  ASSERT_EQ(f.send(2, tx, "n", 1), Status::ok);
+  EXPECT_EQ(f.pollset_wait(0, ps, &ready, 0), Status::timed_out);
+  EXPECT_EQ(f.pollset_remove(0, ps, rx0), Status::not_connected);
+  EXPECT_EQ(f.pollset_add(1, other, rx1), Status::ok);
+  ASSERT_EQ(f.pollset_wait(1, other, &ready, 0), Status::ok);
+  EXPECT_EQ(ready, rx1);
+  EXPECT_TRUE(InvariantOracle::check(f, /*quiescent=*/false).ok());
+}
+
 TEST(SimPollSet, ServerWakesOnceForEachOfManyClients) {
   // The pub/sub shape the poll set exists for: one server parked on a set
   // of client circuits, each client sending exactly one message and one

@@ -171,6 +171,52 @@ TEST_F(InvariantsTest, BlockCountCorruptionBreaksConservation) {
   m->nblocks = saved;
 }
 
+TEST_F(InvariantsTest, WatchCorruptionIsWatchesViolation) {
+  // A receive_any poll arms one watch per listed circuit; the oracle then
+  // holds the armed count to the connections and, at rest, every watched
+  // circuit to "armed or marked ready".
+  const LnvcId a = open_pair("a");
+  const LnvcId b = open_pair("b");
+  const LnvcId ids[] = {a, b};
+  char buf[8];
+  std::size_t len = 0, index = 0;
+  ASSERT_EQ(f.receive_any_for(1, ids, buf, sizeof buf, &len, &index, 0),
+            Status::timed_out);
+  InvariantReport clean = InvariantOracle::check(f, /*quiescent=*/true);
+  ASSERT_TRUE(clean.ok()) << clean.summary();
+
+  detail::LnvcDesc& d = InvariantOracle::lnvc(f, a);
+  ASSERT_EQ(d.armed.load(), 1u);
+  d.armed.fetch_add(1);  // a phantom watch
+  InvariantReport rep = InvariantOracle::check(f, /*quiescent=*/false);
+  EXPECT_TRUE(reported(rep, Invariant::watches, "armed count"))
+      << rep.summary();
+  d.armed.fetch_sub(1);
+
+  // Disarm pid 1's connection without marking it: a lost wake.  (The
+  // receive connection was opened last, so it heads the list.)
+  auto* conn =
+      reinterpret_cast<detail::Connection*>(InvariantOracle::msg_at(
+          f, d.connections.off));
+  ASSERT_FALSE(conn->is_sender());
+  conn->armed = 0;
+  d.armed.fetch_sub(1);
+  EXPECT_TRUE(InvariantOracle::check(f, /*quiescent=*/false).ok());
+  rep = InvariantOracle::check(f, /*quiescent=*/true);
+  EXPECT_TRUE(reported(rep, Invariant::watches, "lost wake"))
+      << rep.summary();
+  conn->armed = detail::Connection::kWatchAny;
+  d.armed.fetch_add(1);
+
+  // A dead, unreaped watcher still owns its watches; the reap drops them.
+  f.declare_dead(1);
+  rep = InvariantOracle::check(f, /*quiescent=*/true);
+  EXPECT_TRUE(reported(rep, Invariant::watches, "not live")) << rep.summary();
+  ASSERT_EQ(f.reap(0, 1), Status::ok);
+  InvariantReport after = InvariantOracle::check(f, /*quiescent=*/true);
+  EXPECT_TRUE(after.ok()) << after.summary();
+}
+
 // End-to-end: a fuzz case (random schedule, kills enabled, oracle at
 // every round barrier) runs oracle-clean.  This is the same harness the
 // fuzz ctest label drives at scale; one pinned case keeps the coupling

@@ -10,7 +10,6 @@
 #include "mpf/sync/barrier.hpp"
 #include "mpf/sync/event_count.hpp"
 #include "mpf/sync/spinlock.hpp"
-#include "mpf/sync/ticket_lock.hpp"
 
 namespace {
 
@@ -37,7 +36,6 @@ void exclusion_test() {
 }
 
 TEST(SpinLock, MutualExclusion) { exclusion_test<SpinLock>(); }
-TEST(TicketLock, MutualExclusion) { exclusion_test<TicketLock>(); }
 
 TEST(SpinLock, TryLock) {
   SpinLock lock;
@@ -54,47 +52,6 @@ TEST(SpinLock, LockCountingReportsZeroUncontended) {
   SpinLock lock;
   EXPECT_EQ(lock.lock_counting(), 0u);
   lock.unlock();
-}
-
-TEST(TicketLock, TryLock) {
-  TicketLock lock;
-  EXPECT_TRUE(lock.try_lock());
-  EXPECT_FALSE(lock.try_lock());
-  lock.unlock();
-  EXPECT_TRUE(lock.try_lock());
-  lock.unlock();
-  EXPECT_FALSE(lock.is_locked());
-}
-
-TEST(TicketLock, GrantsInArrivalOrder) {
-  // One holder; two queued threads must be served in the order they asked.
-  TicketLock lock;
-  lock.lock();
-  std::vector<int> order;
-  std::atomic<int> queued{0};
-  std::thread first([&] {
-    queued.fetch_add(1);
-    lock.lock();
-    order.push_back(1);
-    lock.unlock();
-  });
-  while (queued.load() < 1) cpu_relax();
-  // Give `first` time to take its ticket before `second` arrives.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  std::thread second([&] {
-    queued.fetch_add(1);
-    lock.lock();
-    order.push_back(2);
-    lock.unlock();
-  });
-  while (queued.load() < 2) cpu_relax();
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  lock.unlock();
-  first.join();
-  second.join();
-  ASSERT_EQ(order.size(), 2u);
-  EXPECT_EQ(order[0], 1);
-  EXPECT_EQ(order[1], 2);
 }
 
 TEST(SenseBarrier, SynchronizesPhases) {

@@ -212,7 +212,7 @@ void dump_parked(const mpf::Facility& facility) {
   const mpf::FacilityStats stats = facility.stats();
   std::printf(
       "parking: backend=%s, %llu parks, %llu wakes, %llu spurious, "
-      "%llu lock-free fast sends, %llu any rescans\n",
+      "%llu lock-free fast sends, %llu multi-wait revalidations\n",
       mpf::sync::Parker::has_futex() ? "futex" : "fallback",
       static_cast<unsigned long long>(stats.parks),
       static_cast<unsigned long long>(stats.wakes),
