@@ -134,18 +134,23 @@ struct Config {
 
   /// Enable the two-tier lock-free FCFS delivery path (DESIGN.md §12).
   /// Senders that pass a one-time locked validation CAS messages onto a
-  /// per-circuit injection stack and blocked FCFS receivers park on a
-  /// futex-class WaitNode instead of polling the descriptor EventCount;
+  /// per-circuit injection stack and blocked FCFS receivers park on
+  /// their own WaitNode instead of the descriptor's condition word;
   /// the descriptor spinlock is kept only for the slow paths (broadcast
   /// fan-out, quotas, repair).  false (default) keeps the fully locked
   /// pre-existing path, bit-identical on every flat-model bench.
   bool lockfree_fcfs = false;
-  /// Nanoseconds a parking waiter spins before sleeping (futex natively,
-  /// virtual wait resource under the simulator, poll/nap fallback
-  /// elsewhere).  Pipeline-cadence hand-offs that land within the spin
-  /// window never pay a syscall.  Read by every park: lock-free FCFS
-  /// receivers, receive_any and pollset_wait.
-  std::uint64_t park_spin_ns = 1'000'000;  // 1 ms
+  /// Longest a blocked waiter spins before sleeping (futex natively,
+  /// virtual wait resource under the simulator, short naps elsewhere).
+  /// Pipeline-cadence hand-offs that land within the spin window never
+  /// pay a syscall.  Bounds every blocking wait: locked and lock-free
+  /// receives, quota and pool-exhaustion parks, receive_any and
+  /// pollset_wait.  A thread spins all of it only while its sleeps end
+  /// within it, and 1/16 of it otherwise (sync::Parker::park), so a
+  /// blocked process stays idle while a lock-step peer whose wake-up a
+  /// loaded hypervisor delays by milliseconds does not drag the others
+  /// into sleeping too.
+  std::uint64_t park_spin_ns = 16'000'000;  // 16 ms
 
   /// Arena bytes needed for this configuration (fills in the derived
   /// defaults; does not modify *this).

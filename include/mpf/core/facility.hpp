@@ -654,8 +654,9 @@ class Facility {
   /// Returns true when this process should probe at the tight suspicion
   /// period; false = another live prober exists, sleep lazily instead.
   bool probe_claim(detail::LnvcDesc& d, ProcessId pid);
-  /// Sleep bound for a suspicion-governed wait: suspicion_ns for the
-  /// prober, a pid-jittered 16-32x stretch for everyone else.
+  /// Probe period of a suspicion-governed wait: suspicion_ns for the
+  /// prober, a pid-jittered 16-32x stretch for everyone else (0, no
+  /// probing, when suspicion is off).
   static std::uint64_t probe_wait_ns(ProcessId pid, std::uint64_t suspicion,
                                      bool prober);
   /// Drop the probe token if this process holds it (descriptor lock held);
@@ -712,10 +713,13 @@ class Facility {
   /// Robust lock on an LNVC descriptor: on seizure additionally repairs
   /// the descriptor's queue invariants before returning.
   ProcessId alock_lnvc(detail::LnvcDesc& d, ProcessId pid);
-  /// Robust wait / timed wait (re-acquisition may seize; same contract).
-  ProcessId await(sync::SpinLock& m, sync::EventCount& c, ProcessId pid);
+  /// The one robust wait: release `m`, sleep on `c` until notified, the
+  /// absolute `deadline_ns` (kNoDeadline: none) or `probe_ns` from now (0:
+  /// no probe period), whichever comes first, and re-acquire `m` — which
+  /// may seize, with alock's contract.  *notified is false on expiry.
   ProcessId await_for(sync::SpinLock& m, sync::EventCount& c, ProcessId pid,
-                      std::uint64_t timeout_ns, bool* notified);
+                      std::uint64_t deadline_ns, std::uint64_t probe_ns,
+                      bool* notified);
   /// Recompute (msg_tail, fcfs_head, n_queued) of a seized descriptor from
   /// the msg_head walk; drops a half-linked journal message if found.
   void repair_lnvc(detail::LnvcDesc& d);

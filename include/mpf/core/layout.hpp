@@ -20,7 +20,6 @@
 #include "mpf/core/types.hpp"
 #include "mpf/shm/free_list.hpp"
 #include "mpf/shm/ref.hpp"
-#include "mpf/sync/event_count.hpp"
 #include "mpf/sync/parker.hpp"
 #include "mpf/sync/spinlock.hpp"
 

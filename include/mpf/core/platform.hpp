@@ -4,9 +4,11 @@
 // The paper stresses that MPF's only system-dependent code is shared-memory
 // allocation and synchronization (§3).  In this reproduction the same seam
 // carries one more job: cost modeling.  The identical LNVC code runs either
-//   * natively (NativePlatform): spinlocks and eventcount polling on the
-//     shm cells, no cost accounting — used by tests, examples and native
-//     benchmark timings; works across fork()ed processes; or
+//   * natively (NativePlatform): spinlocks on the shm cells, and every
+//     blocking wait parked on its futex word by sync::Parker (spin up to the
+//     waiter's park_spin_ns, then sleep); no cost accounting — used by
+//     tests, examples and native benchmark timings; works across fork()ed
+//     processes; or
 //   * simulated (sim::SimPlatform): lock/wait become discrete-event
 //     resources and every copy/primitive charges virtual Balance-21000
 //     time — used to regenerate the paper's figures.
@@ -16,7 +18,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "mpf/sync/event_count.hpp"
 #include "mpf/sync/parker.hpp"
 #include "mpf/sync/spinlock.hpp"
 
@@ -39,6 +40,9 @@ struct RobustOp {
   bool seized = false;
   /// Holder tag the lock was seized from (valid when `seized`).
   std::uint32_t seized_from = sync::SpinLock::kFree;
+  /// Spin budget of a wait_for that re-acquires through this op, before
+  /// it sleeps (Config::park_spin_ns).
+  std::uint64_t spin_ns = sync::kDefaultParkSpinNs;
 };
 
 class Platform {
@@ -89,17 +93,23 @@ class Platform {
 
   // --- condition waiting ------------------------------------------------
   /// Called with `mutex_cell` held; atomically releases it, sleeps until a
-  /// notify (spurious wakeups allowed), re-acquires, returns.  When `op`
-  /// is non-null the re-acquisition is robust (tagged + suspecting).
-  virtual void wait(sync::SpinLock& mutex_cell, sync::EventCount& cond_cell,
-                    RobustOp* op = nullptr) = 0;
-  /// Timed variant: give up after `timeout_ns` (virtual or wall time per
-  /// platform); returns false on timeout.  Same locking contract as
-  /// wait().  Spurious true returns are allowed; callers re-check their
-  /// predicate and their own deadline.
+  /// notify or for `timeout_ns` (virtual or wall time per platform; ~0 =
+  /// no timeout), re-acquires, and returns false on timeout.  Spurious
+  /// true returns are allowed; callers re-check their predicate and their
+  /// own deadline.  When `op` is non-null the re-acquisition is robust
+  /// (tagged + suspecting).  A notifier makes its state change before the
+  /// notify, under `mutex_cell` or visibly to the predicate the waiter
+  /// checks under it; a notify of a change the waiter cannot see leaves it
+  /// asleep until the next one (DESIGN.md §12).
   virtual bool wait_for(sync::SpinLock& mutex_cell,
                         sync::EventCount& cond_cell, std::uint64_t timeout_ns,
                         RobustOp* op = nullptr) = 0;
+  /// wait_for with no timeout.
+  virtual void wait(sync::SpinLock& mutex_cell, sync::EventCount& cond_cell,
+                    RobustOp* op = nullptr) {
+    wait_for(mutex_cell, cond_cell, ~std::uint64_t{0}, op);
+  }
+  /// Wake every waiter of `cond_cell`.
   virtual void notify_all(sync::EventCount& cond_cell) = 0;
 
   // --- one-claimant parking (the futex-class seam; DESIGN.md §12) -------
@@ -116,8 +126,8 @@ class Platform {
     return sync::Parker::park(node, expected, deadline_ns, spin_ns);
   }
   /// Bump the node's epoch and rouse its (at most one) parked owner.
-  /// Unlike notify_all this targets exactly one claimant — wakers pick
-  /// their successor first, so there is no thundering herd.
+  /// Wakers pick their successor first and wake only its node, so there
+  /// is no thundering herd.
   virtual void unpark(sync::WaitNode& node) { sync::Parker::wake(node); }
 
   // --- liveness ---------------------------------------------------------
@@ -180,45 +190,37 @@ class Platform {
   [[nodiscard]] virtual const char* name() const noexcept = 0;
 };
 
-/// Real-hardware platform: spinlocks + eventcount backoff polling.
-/// Stateless; one shared instance suffices for any number of facilities.
+/// Real-hardware platform: spinlocks, and every wait parked on its futex
+/// word.  Stateless; one shared instance suffices for any number of
+/// facilities.
 class NativePlatform final : public Platform {
  public:
   void lock(sync::SpinLock& cell) override { cell.lock(); }
   void unlock(sync::SpinLock& cell) override { cell.unlock(); }
 
-  void wait(sync::SpinLock& mutex_cell, sync::EventCount& cond_cell,
-            RobustOp* op = nullptr) override {
-    const auto ticket = cond_cell.prepare_wait();
-    mutex_cell.unlock();
-    // Bounded wait between predicate re-checks: even a missed notify (a
-    // state change published between our snapshot and unlock) costs at
-    // most one bounded poll round, after which the caller re-checks.
-    cond_cell.wait_rounds(ticket, 512);
-    cell_relock(mutex_cell, op);
-  }
-
   bool wait_for(sync::SpinLock& mutex_cell, sync::EventCount& cond_cell,
                 std::uint64_t timeout_ns, RobustOp* op = nullptr) override {
-    const auto ticket = cond_cell.prepare_wait();
-    // Bounded poll rounds with a clock check between batches: the
-    // deadline is enforced against now_ns() at ~µs granularity, and the
-    // wait stays pure polling (no yields or naps) — on a loaded machine a
-    // sleeping waiter turns a pipeline of µs handoffs into a convoy of
-    // sleep quanta.  Callers that want a sleeping wait use
-    // EventCount::wait_deadline directly.
-    const std::uint64_t deadline = now_ns() + timeout_ns;
+    // Snapshot under the lock: a notify issued after our predicate check
+    // moves the epoch past it, so the park below cannot sleep through it.
+    const std::uint32_t ticket = sync::Parker::prepare(cond_cell);
+    const std::uint64_t now = now_ns();
+    const std::uint64_t deadline = timeout_ns < sync::kNoParkDeadline - now
+                                       ? now + timeout_ns
+                                       : sync::kNoParkDeadline;
     mutex_cell.unlock();
-    bool notified = false;
-    while (!(notified = cond_cell.wait_rounds(ticket, 64))) {
-      if (now_ns() >= deadline) break;
+    const bool notified = sync::Parker::park(
+        cond_cell, ticket, deadline,
+        op != nullptr ? op->spin_ns : sync::kDefaultParkSpinNs);
+    if (op != nullptr) {
+      lock_robust(mutex_cell, *op);
+    } else {
+      mutex_cell.lock();
     }
-    cell_relock(mutex_cell, op);
     return notified;
   }
 
   void notify_all(sync::EventCount& cond_cell) override {
-    cond_cell.notify_all();
+    sync::Parker::wake(cond_cell);
   }
 
   [[nodiscard]] std::uint64_t now_ns() const override {
@@ -232,15 +234,6 @@ class NativePlatform final : public Platform {
 
   [[nodiscard]] const char* name() const noexcept override {
     return "native";
-  }
-
- private:
-  void cell_relock(sync::SpinLock& cell, RobustOp* op) {
-    if (op != nullptr) {
-      lock_robust(cell, *op);
-    } else {
-      cell.lock();
-    }
   }
 };
 

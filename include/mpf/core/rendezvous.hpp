@@ -19,7 +19,7 @@
 
 #include "mpf/core/errors.hpp"
 #include "mpf/core/platform.hpp"
-#include "mpf/sync/event_count.hpp"
+#include "mpf/sync/parker.hpp"
 #include "mpf/sync/spinlock.hpp"
 
 namespace mpf {

@@ -5,7 +5,8 @@
 // copy charges virtual time from the MachineModel.  Calls made outside a
 // simulated process (single-threaded setup on the main thread before
 // Simulator::run()) fall back to real spinlock behaviour and charge
-// nothing.
+// nothing; a condition wait there returns at once (a spurious wakeup) and
+// a notify does nothing — setup code has nobody to wait for.
 #pragma once
 
 #include "mpf/core/platform.hpp"
@@ -20,8 +21,6 @@ class SimPlatform final : public Platform {
   void lock(sync::SpinLock& cell) override;
   void unlock(sync::SpinLock& cell) override;
   void lock_robust(sync::SpinLock& cell, RobustOp& op) override;
-  void wait(sync::SpinLock& mutex_cell, sync::EventCount& cond_cell,
-            RobustOp* op = nullptr) override;
   bool wait_for(sync::SpinLock& mutex_cell, sync::EventCount& cond_cell,
                 std::uint64_t timeout_ns, RobustOp* op = nullptr) override;
   void notify_all(sync::EventCount& cond_cell) override;

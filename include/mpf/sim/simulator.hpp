@@ -153,12 +153,9 @@ class Simulator {
   void mutex_lock_robust(const void* cell, RobustOp& op);
 
   // ---- virtual condition queues (keyed by cond-cell address) ----------
-  /// Atomically release `mutex_cell`, sleep until notified, re-acquire.
-  /// A non-null `op` makes the re-acquisition robust.
-  void cond_wait(const void* mutex_cell, const void* cond_cell,
-                 RobustOp* op = nullptr);
-  /// Like cond_wait but wakes after `timeout_ns` of virtual time if no
-  /// notify arrives first; returns false on timeout.
+  /// Atomically release `mutex_cell`, sleep until notified or for
+  /// `timeout_ns` of virtual time (~0 = untimed), re-acquire; returns
+  /// false on timeout.  A non-null `op` makes the re-acquisition robust.
   bool cond_wait_for(const void* mutex_cell, const void* cond_cell,
                      std::uint64_t timeout_ns, RobustOp* op = nullptr);
   void cond_notify_all(const void* cond_cell);

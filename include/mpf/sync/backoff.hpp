@@ -1,16 +1,15 @@
-// Exponential backoff for busy-wait loops.
+// Exponential backoff for spin loops.
 //
 // The Sequent Balance 21000 relied on hardware test-and-set locks with
 // software backoff to keep the shared bus usable under contention; this is
-// the modern equivalent.  Every spin primitive in this repository drives its
-// retry loop through `Backoff` so that waiting progresses from cheap CPU
-// pause instructions to scheduler yields to short sleeps.  All stages are
-// safe inside memory shared between processes (the object itself lives on
-// the waiter's stack).
+// the modern equivalent.  Lock acquisition drives its retry loop through
+// `Backoff`, which progresses from cheap CPU pause instructions to
+// scheduler yields; it never sleeps — waiting for an event is
+// Parker::park's job (parker.hpp).  The object lives on the spinner's
+// stack, so it is safe inside memory shared between processes.
 #pragma once
 
 #include <cstdint>
-#include <ctime>
 #include <thread>
 
 namespace mpf::sync {
@@ -26,34 +25,22 @@ inline void cpu_relax() noexcept {
 #endif
 }
 
-/// Policy knobs for a backoff loop.  Defaults are tuned for short critical
-/// sections (an LNVC enqueue/dequeue is a few hundred nanoseconds).
-struct BackoffPolicy {
-  std::uint32_t spin_limit = 64;    ///< pure cpu_relax() rounds before yielding
-  std::uint32_t yield_limit = 128;  ///< sched-yield rounds before sleeping
-  std::uint64_t sleep_min_ns = 1'000;
-  std::uint64_t sleep_max_ns = 1'000'000;  ///< cap so wakeup latency stays bounded
-};
-
-/// Stateful exponential backoff.  Construct once per wait, call `pause()`
+/// Stateful exponential backoff.  Construct once per spin, call `pause()`
 /// each unsuccessful retry, and `reset()` after a success if reusing.
 class Backoff {
  public:
-  Backoff() noexcept = default;
-  explicit Backoff(const BackoffPolicy& policy) noexcept : policy_(policy) {}
+  /// cpu_relax() rounds before pausing becomes a scheduler yield; tuned
+  /// for short critical sections (an LNVC enqueue is a few hundred ns).
+  static constexpr std::uint32_t kSpinRounds = 64;
 
   /// Wait a little longer than last time.
   void pause() noexcept {
-    if (round_ < policy_.spin_limit) {
+    if (round_ < kSpinRounds) {
       // Exponentially growing clusters of pause instructions.
       const std::uint32_t reps = 1u << (round_ < 6 ? round_ : 6);
       for (std::uint32_t i = 0; i < reps; ++i) cpu_relax();
-    } else if (round_ < policy_.spin_limit + policy_.yield_limit) {
-      std::this_thread::yield();
     } else {
-      sleep_ns(sleep_ns_);
-      sleep_ns_ = sleep_ns_ * 2 > policy_.sleep_max_ns ? policy_.sleep_max_ns
-                                                       : sleep_ns_ * 2;
+      std::this_thread::yield();
     }
     ++round_;
   }
@@ -61,21 +48,10 @@ class Backoff {
   /// Number of pauses taken so far (useful for contention statistics).
   [[nodiscard]] std::uint32_t rounds() const noexcept { return round_; }
 
-  void reset() noexcept {
-    round_ = 0;
-    sleep_ns_ = policy_.sleep_min_ns;
-  }
+  void reset() noexcept { round_ = 0; }
 
  private:
-  static void sleep_ns(std::uint64_t ns) noexcept {
-    timespec ts{static_cast<time_t>(ns / 1'000'000'000),
-                static_cast<long>(ns % 1'000'000'000)};
-    ::nanosleep(&ts, nullptr);
-  }
-
-  BackoffPolicy policy_{};
   std::uint32_t round_ = 0;
-  std::uint64_t sleep_ns_ = policy_.sleep_min_ns;
 };
 
 }  // namespace mpf::sync

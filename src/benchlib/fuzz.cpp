@@ -146,12 +146,22 @@ struct CaseState {
     std::array<Protocol, kMaxNames> recv_proto;
     std::vector<MsgView> views;
     PollSetId pollset = kInvalidPollSet;
+    /// Per name: send_opens[name] when a receive on this connection last
+    /// returned lnvc_orphaned with no open_send racing it, else kLive.
+    /// The verdict holds while no open_send on the name has started since.
+    std::array<std::uint64_t, kMaxNames> orphaned_at;
     RankState() {
       send_id.fill(kInvalidLnvc);
       recv_id.fill(kInvalidLnvc);
+      orphaned_at.fill(kLive);
     }
   };
+  static constexpr std::uint64_t kLive = ~std::uint64_t{0};
   std::vector<RankState> ranks;
+  /// Per name: open_send calls started / finished, by any rank.  An
+  /// orphaned circuit stays orphaned until a sender connects.
+  std::array<std::uint64_t, kMaxNames> send_opens{};
+  std::array<std::uint64_t, kMaxNames> send_opens_done{};
   /// Per (sender, name): next counter to stamp.
   std::vector<std::array<std::uint64_t, kMaxNames>> sent;
   /// Per (receiver, name, sender): highest counter seen.
@@ -297,7 +307,9 @@ class Script {
       return true;
     }
     LnvcId id = kInvalidLnvc;
+    ++cs_.send_opens[static_cast<std::size_t>(n)];
     const Status st = f_.open_send(pid_, lnvc_name(n), &id);
+    ++cs_.send_opens_done[static_cast<std::size_t>(n)];
     if (st == Status::ok) {
       me().send_id[static_cast<std::size_t>(n)] = id;
       return true;
@@ -316,6 +328,7 @@ class Script {
     if (st == Status::ok) {
       me().recv_id[static_cast<std::size_t>(n)] = id;
       me().recv_proto[static_cast<std::size_t>(n)] = proto;
+      me().orphaned_at[static_cast<std::size_t>(n)] = CaseState::kLive;
       // Per-sender FIFO is only guaranteed within one connection
       // generation.  A reopen can legitimately step backwards: a fresh
       // broadcast cursor starts at the tail, and a later FCFS reopen can
@@ -356,6 +369,29 @@ class Script {
         me().recv_id[static_cast<std::size_t>(n)] = kInvalidLnvc;
       }
     }
+  }
+
+  // Orphan model.  A receive that returns lnvc_orphaned proves its
+  // circuit orphaned only if no open_send on the name was in flight at any
+  // point of the call; the verdict then lasts until the next open_send.
+  struct SendOpens {
+    std::uint64_t started;
+    bool quiet;  ///< no open_send in flight
+  };
+  SendOpens send_opens(int n) const {
+    const auto i = static_cast<std::size_t>(n);
+    return {cs_.send_opens[i], cs_.send_opens[i] == cs_.send_opens_done[i]};
+  }
+  void note_orphaned(int n, SendOpens before) {
+    const SendOpens after = send_opens(n);
+    if (before.quiet && after.quiet && after.started == before.started) {
+      me().orphaned_at[static_cast<std::size_t>(n)] = before.started;
+    }
+  }
+  bool known_orphaned(int n) {
+    const SendOpens now = send_opens(n);
+    return now.quiet &&
+           me().orphaned_at[static_cast<std::size_t>(n)] == now.started;
   }
 
   std::size_t pick_len() {
@@ -420,7 +456,9 @@ class Script {
     std::size_t got = 0;
     Status st;
     if (blocking) {
+      const SendOpens before = send_opens(n);
       st = f_.receive_for(pid_, id, buf.data(), cap, &got, deadline());
+      if (st == Status::lnvc_orphaned) note_orphaned(n, before);
     } else {
       bool ready = false;
       st = f_.try_receive(pid_, id, buf.data(), cap, &got, &ready);
@@ -489,11 +527,30 @@ class Script {
     std::vector<std::uint8_t> buf(cap);
     std::size_t got = 0;
     std::size_t index = 0;
+    std::vector<SendOpens> before;
+    bool all_orphaned = true;
+    for (const int n : names) {
+      before.push_back(send_opens(n));
+      all_orphaned = all_orphaned && known_orphaned(n);
+    }
     const Status st = f_.receive_any_for(pid_, ids, buf.data(), cap, &got,
                                          &index, deadline());
     if (!transfer_ok(st)) {
       unexpected("receive_any", -1, st);
       return;
+    }
+    for (std::size_t i = 0; i < names.size(); ++i) {
+      all_orphaned = all_orphaned && known_orphaned(names[i]);
+      if (st == Status::lnvc_orphaned) note_orphaned(names[i], before[i]);
+    }
+    if (st == Status::timed_out && all_orphaned) {
+      // Nothing can ever arrive: the call must say lnvc_orphaned.
+      char msg[128];
+      std::snprintf(msg, sizeof msg,
+                    "rank %d: receive_any over %zu orphaned circuits timed "
+                    "out",
+                    rank_, ids.size());
+      cs_.fail(msg);
     }
     if ((st == Status::ok || st == Status::truncated) &&
         index < names.size()) {

@@ -556,15 +556,10 @@ Status Facility::quota_admit(ProcessId pid, detail::LnvcDesc& d, LnvcId id,
     // parked FIFO probing in unison would convoy on the descriptor lock.
     const std::uint64_t suspicion = header_->suspicion_ns;
     const bool prober = suspicion != 0 && probe_claim(d, pid);
-    std::uint64_t wait_ns = suspicion != 0
-                                ? probe_wait_ns(pid, suspicion, prober)
-                                : std::uint64_t{1} << 62;
-    if (deadline_ns != kNoDeadline && deadline_ns - now < wait_ns) {
-      wait_ns = deadline_ns - now;
-    }
     bool notified = false;
     const ProcessId dead =
-        await_for(d.lock, d.park_cond, pid, wait_ns, &notified);
+        await_for(d.lock, d.park_cond, pid, deadline_ns,
+                  probe_wait_ns(pid, suspicion, prober), &notified);
     probe_release(d, pid);
     if (dead != kNoProcess) repair_lnvc(d);
     if (d.in_use == 0 || d.generation != generation) {
@@ -1179,7 +1174,7 @@ Status Facility::claim_message(ProcessId pid, LnvcId id, bool blocking,
   *out_d = d;
   platform_->charge_recv_fixed();
   const std::uint64_t deadline =
-      timeout_ns > 0 ? platform_->now_ns() + timeout_ns : 0;
+      timeout_ns > 0 ? platform_->now_ns() + timeout_ns : kNoDeadline;
 
   alock_lnvc(*d, pid);
   if (d->in_use == 0) {
@@ -1252,6 +1247,11 @@ Status Facility::claim_message(ProcessId pid, LnvcId id, bool blocking,
       return Status::lnvc_orphaned;
     }
     waited = true;
+    // Every wait is bounded by the caller's deadline and by the suspicion
+    // threshold: a dead sender (or a lost transition) must not block us
+    // forever — an un-woken expiry probes and self-heals below.
+    const std::uint64_t suspicion = header_->suspicion_ns;
+    bool woken = true;
     const bool use_park =
         header_->lockfree_fcfs != 0 && conn->is_fcfs() &&
         (d->fast_state.load(std::memory_order_relaxed) & 1) != 0;
@@ -1271,17 +1271,11 @@ Status Facility::claim_message(ProcessId pid, LnvcId id, bool blocking,
       ps.rpark_active.store(1, std::memory_order_seq_cst);
       platform_->unlock(d->lock);
       header_->parks.fetch_add(1, std::memory_order_relaxed);
-      // Bound the sleep by the caller's deadline and by the suspicion
-      // threshold: a dead sender (or a lost transition) must not park us
-      // forever — an un-woken expiry probes and self-heals below.
-      const std::uint64_t suspicion = header_->suspicion_ns;
-      std::uint64_t park_deadline = sync::kNoParkDeadline;
-      if (timeout_ns > 0) park_deadline = deadline;
+      std::uint64_t park_deadline = deadline;
       if (suspicion != 0) {
         const std::uint64_t cap_ns = platform_->now_ns() + suspicion;
         if (cap_ns < park_deadline) park_deadline = cap_ns;
       }
-      bool woken = true;
       // Dekker re-check against a push racing our registration: the
       // sender's seq_cst CAS either precedes our seq_cst store above (this
       // load sees the message) or follows it (the sender's rpark peek sees
@@ -1295,52 +1289,31 @@ Status Facility::claim_message(ProcessId pid, LnvcId id, bool blocking,
       d->rpark_waiters.fetch_sub(1, std::memory_order_seq_cst);
       parked_woken = woken;
       alock_lnvc(*d, pid);
-      if (!woken) {
-        if (timeout_ns > 0 && platform_->now_ns() >= deadline) {
-          platform_->unlock(d->lock);
-          reap_if_dead(pid, kNoProcess);
-          return Status::timed_out;
-        }
-        // Same liveness sweep as the cond path.
-        if (suspicion != 0) reap_dead_sender(*d, pid);
-      }
-    } else if (timeout_ns > 0) {
-      const std::uint64_t now = platform_->now_ns();
-      if (now >= deadline) {
-        platform_->unlock(d->lock);
-        reap_if_dead(pid, kNoProcess);
-        return Status::timed_out;
-      }
-      bool notified = false;
-      const ProcessId dead =
-          await_for(d->lock, d->cond, pid, deadline - now, &notified);
-      if (dead != kNoProcess) repair_lnvc(*d);
-      if (!notified && platform_->now_ns() >= deadline) {
-        platform_->unlock(d->lock);
-        reap_if_dead(pid, kNoProcess);
-        return Status::timed_out;
-      }
     } else {
-      const std::uint64_t suspicion = header_->suspicion_ns;
-      if (suspicion == 0) {
-        const ProcessId dead = await(d->lock, d->cond, pid);
-        if (dead != kNoProcess) repair_lnvc(*d);
-      } else {
-        // Bound the sleep by the suspicion threshold so a receiver blocked
-        // on a dead sender self-heals: an un-notified timeout probes the
-        // sender connections and reaps the first dead peer itself rather
-        // than waiting for an external reaper to notice.  Only the elected
-        // prober keeps the tight period (see probe_claim).
-        const bool prober = probe_claim(*d, pid);
-        bool notified = false;
-        const ProcessId dead = await_for(
-            d->lock, d->cond, pid, probe_wait_ns(pid, suspicion, prober),
-            &notified);
-        probe_release(*d, pid);
-        if (dead != kNoProcess) repair_lnvc(*d);
-        // The loop re-checks the orphan condition with the repaired state.
-        if (!notified) reap_dead_sender(*d, pid);
+      if (platform_->now_ns() >= deadline) {
+        platform_->unlock(d->lock);
+        reap_if_dead(pid, kNoProcess);
+        return Status::timed_out;
       }
+      // Only the elected prober keeps the tight probe period (see
+      // probe_claim).
+      const bool prober = suspicion != 0 && probe_claim(*d, pid);
+      const ProcessId dead =
+          await_for(d->lock, d->cond, pid, deadline,
+                    probe_wait_ns(pid, suspicion, prober), &woken);
+      probe_release(*d, pid);
+      if (dead != kNoProcess) repair_lnvc(*d);
+    }
+    if (!woken) {
+      if (platform_->now_ns() >= deadline) {
+        platform_->unlock(d->lock);
+        reap_if_dead(pid, kNoProcess);
+        return Status::timed_out;
+      }
+      // A probe expiry: reap the first dead sender ourselves rather than
+      // wait for an external reaper; the loop re-checks the orphan
+      // condition with the repaired state.
+      if (suspicion != 0) reap_dead_sender(*d, pid);
     }
     platform_->charge_check();
     if (d->in_use == 0 || d->generation != generation) {

@@ -461,30 +461,18 @@ Status Facility::alloc_message(ProcessId pid, std::size_t need,
     for (;;) {
       if (try_gather(pid, need, target_node, msg, chain)) break;
       return_gather(pid, msg, chain);
-      const std::uint64_t suspicion = header_->suspicion_ns;
-      std::uint64_t now = 0;
-      if (deadline_ns != kNoDeadline &&
-          (now = platform_->now_ns()) >= deadline_ns) {
+      if (platform_->now_ns() >= deadline_ns) {
         pslot(pid).in_exhaustion.store(0, std::memory_order_release);
         header_->exhaustion_waiters.fetch_sub(1, std::memory_order_acq_rel);
         platform_->unlock(header_->blocks_lock);
         journal_clear(pid);
         return Status::timed_out;
       }
-      if (suspicion == 0 && deadline_ns == kNoDeadline) {
-        await(header_->blocks_lock, header_->blocks_cond, pid);
-        continue;
-      }
-      std::uint64_t wait_ns =
-          suspicion != 0 ? suspicion : std::uint64_t{1} << 62;
-      if (deadline_ns != kNoDeadline && deadline_ns - now < wait_ns) {
-        wait_ns = deadline_ns - now;
-      }
+      const std::uint64_t suspicion = header_->suspicion_ns;
       bool notified = false;
-      await_for(header_->blocks_lock, header_->blocks_cond, pid, wait_ns,
-                &notified);
-      if (notified) continue;
-      if (suspicion == 0) continue;  // deadline-bounded nap; re-check above
+      await_for(header_->blocks_lock, header_->blocks_cond, pid, deadline_ns,
+                suspicion, &notified);
+      if (notified || suspicion == 0) continue;  // re-check the deadline
       // A full suspicion window with no free: deregister and check for
       // dead peers (their journals, magazines, and queues may hold every
       // block we are waiting for).

@@ -161,6 +161,7 @@ RobustOp Facility::make_robust(ProcessId pid) const {
   op.alive = &Facility::probe_alive;
   op.ctx = const_cast<Facility*>(this);
   op.suspicion_ns = header_->suspicion_ns;
+  op.spin_ns = header_->park_spin_ns;
   return op;
 }
 
@@ -180,23 +181,17 @@ ProcessId Facility::alock_lnvc(detail::LnvcDesc& d, ProcessId pid) {
   return dead;
 }
 
-ProcessId Facility::await(sync::SpinLock& m, sync::EventCount& c,
-                          ProcessId pid) {
-  RobustOp op = make_robust(pid);
-  platform_->wait(m, c, &op);
-  if (!op.seized) return kNoProcess;
-  header_->seizures.fetch_add(1, std::memory_order_relaxed);
-  const ProcessId dead = sync::SpinLock::pid_of(op.seized_from);
-  note_pending_dead(dead);
-  return dead;
-}
-
 ProcessId Facility::await_for(sync::SpinLock& m, sync::EventCount& c,
-                              ProcessId pid, std::uint64_t timeout_ns,
-                              bool* notified) {
+                              ProcessId pid, std::uint64_t deadline_ns,
+                              std::uint64_t probe_ns, bool* notified) {
+  std::uint64_t wait_ns = probe_ns != 0 ? probe_ns : kNoDeadline;
+  if (deadline_ns != kNoDeadline) {
+    const std::uint64_t now = platform_->now_ns();
+    const std::uint64_t left = deadline_ns > now ? deadline_ns - now : 0;
+    if (left < wait_ns) wait_ns = left;
+  }
   RobustOp op = make_robust(pid);
-  const bool n = platform_->wait_for(m, c, timeout_ns, &op);
-  if (notified != nullptr) *notified = n;
+  *notified = platform_->wait_for(m, c, wait_ns, &op);
   if (!op.seized) return kNoProcess;
   header_->seizures.fetch_add(1, std::memory_order_relaxed);
   const ProcessId dead = sync::SpinLock::pid_of(op.seized_from);

@@ -12,13 +12,13 @@ bool Rendezvous::await_state(std::uint32_t want, std::uint64_t deadline_ns) {
   Platform& p = *platform_;
   RendezvousCell& c = *cell_;
   while (c.state != want) {
-    if (deadline_ns == kNoDeadline) {
-      p.wait(c.lock, c.cond);
-      continue;
+    std::uint64_t timeout_ns = kNoDeadline;  // ~0: no timeout
+    if (deadline_ns != kNoDeadline) {
+      const std::uint64_t now = p.now_ns();
+      if (now >= deadline_ns) return false;
+      timeout_ns = deadline_ns - now;
     }
-    const std::uint64_t now = p.now_ns();
-    if (now >= deadline_ns) return false;
-    p.wait_for(c.lock, c.cond, deadline_ns - now);
+    p.wait_for(c.lock, c.cond, timeout_ns);
   }
   return true;
 }

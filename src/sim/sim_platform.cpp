@@ -28,29 +28,9 @@ void SimPlatform::lock_robust(sync::SpinLock& cell, RobustOp& op) {
   sim_->mutex_lock_robust(&cell, op);
 }
 
-void SimPlatform::wait(sync::SpinLock& mutex_cell,
-                       sync::EventCount& cond_cell, RobustOp* op) {
-  if (Simulator::current() == nullptr) {
-    // Setup code should never block; emulate the native bounded poll.
-    const auto ticket = cond_cell.prepare_wait();
-    mutex_cell.unlock();
-    cond_cell.wait_rounds(ticket, 64);
-    mutex_cell.lock();
-    return;
-  }
-  sim_->cond_wait(&mutex_cell, &cond_cell, op);
-}
-
 bool SimPlatform::wait_for(sync::SpinLock& mutex_cell,
                            sync::EventCount& cond_cell,
                            std::uint64_t timeout_ns, RobustOp* op) {
-  if (Simulator::current() == nullptr) {
-    const auto ticket = cond_cell.prepare_wait();
-    mutex_cell.unlock();
-    const bool notified = cond_cell.wait_rounds(ticket, 64);
-    mutex_cell.lock();
-    return notified;
-  }
   return sim_->cond_wait_for(&mutex_cell, &cond_cell, timeout_ns, op);
 }
 
@@ -63,7 +43,7 @@ bool SimPlatform::park(sync::WaitNode& node, std::uint32_t expected,
   // clock the park itself is free, so go straight to the wait resource.
   (void)spin_ns;
   for (;;) {
-    if (node.epoch.load(std::memory_order_acquire) != expected) return true;
+    if (sync::Parker::moved(node, expected)) return true;
     std::uint64_t timeout = ~std::uint64_t{0};
     if (deadline_ns != sync::kNoParkDeadline) {
       const std::uint64_t now = sim_->now();
@@ -73,14 +53,13 @@ bool SimPlatform::park(sync::WaitNode& node, std::uint32_t expected,
     if (!sim_->park_wait(&node.epoch, timeout)) {
       // Timed out — but an unpark may have bumped the epoch at exactly the
       // promotion instant; the epoch is the source of truth.
-      return node.epoch.load(std::memory_order_acquire) != expected;
+      return sync::Parker::moved(node, expected);
     }
   }
 }
 
 void SimPlatform::unpark(sync::WaitNode& node) {
-  node.epoch.fetch_add(1, std::memory_order_seq_cst);
-  if (Simulator::current() == nullptr) return;
+  node.epoch.fetch_add(sync::Parker::kStep, std::memory_order_seq_cst);
   sim_->park_wake(&node.epoch);
 }
 
@@ -89,10 +68,6 @@ bool SimPlatform::is_alive(std::uint32_t pid) const {
 }
 
 void SimPlatform::notify_all(sync::EventCount& cond_cell) {
-  if (Simulator::current() == nullptr) {
-    cond_cell.notify_all();
-    return;
-  }
   sim_->cond_notify_all(&cond_cell);
 }
 

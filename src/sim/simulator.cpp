@@ -516,37 +516,6 @@ void Simulator::reacquire_after_wait(std::unique_lock<std::mutex>& lk,
   reschedule(lk, self);
 }
 
-void Simulator::cond_wait(const void* mutex_cell, const void* cond_cell,
-                          RobustOp* op) {
-  Process* self = current_checked();
-  if (self == nullptr) return;
-  std::unique_lock<std::mutex> lk(mu_);
-  // Release the mutex (inline unlock without a scheduling point).
-  MutexState& m = mutexes_[mutex_cell];
-  assert(m.owner == self);
-  if (m.waiters.empty()) {
-    m.owner = nullptr;
-  } else {
-    Process* next_owner = m.waiters.front();
-    m.waiters.pop_front();
-    m.owner = next_owner;
-    wake(next_owner, self->clock_);
-  }
-  // Sleep on the condition queue.
-  if (trace_ != nullptr) {
-    trace_->record(self->clock_, self->id_, TraceKind::cond_sleep, 0);
-  }
-  conds_[cond_cell].waiters.push_back(self);
-  self->state_ = Process::State::Blocked;
-  reschedule(lk, self);
-  // Woken: pay the wakeup cost, then re-acquire the mutex.
-  self->clock_ += static_cast<Time>(model_.wake_ns);
-  if (trace_ != nullptr) {
-    trace_->record(self->clock_, self->id_, TraceKind::cond_wake, 0);
-  }
-  reacquire_after_wait(lk, self, mutex_cell, op);
-}
-
 bool Simulator::cond_wait_for(const void* mutex_cell, const void* cond_cell,
                               std::uint64_t timeout_ns, RobustOp* op) {
   Process* self = current_checked();
@@ -562,13 +531,19 @@ bool Simulator::cond_wait_for(const void* mutex_cell, const void* cond_cell,
     m.owner = next_owner;
     wake(next_owner, self->clock_);
   }
+  // An untimed sleep traces 0 where a timed one traces its timeout and
+  // its outcome.
+  const bool timed = timeout_ns != ~std::uint64_t{0};
   if (trace_ != nullptr) {
-    trace_->record(self->clock_, self->id_, TraceKind::cond_sleep, timeout_ns);
+    trace_->record(self->clock_, self->id_, TraceKind::cond_sleep,
+                   timed ? timeout_ns : 0);
   }
   conds_[cond_cell].waiters.push_back(self);
-  self->timed_ = true;
-  self->timed_out_ = false;
-  self->wake_at_ = self->clock_ + timeout_ns;
+  if (timed) {
+    self->timed_ = true;
+    self->timed_out_ = false;
+    self->wake_at_ = self->clock_ + timeout_ns;
+  }
   self->waiting_cond_ = cond_cell;
   self->state_ = Process::State::Blocked;
   reschedule(lk, self);
@@ -579,7 +554,7 @@ bool Simulator::cond_wait_for(const void* mutex_cell, const void* cond_cell,
   if (notified) self->clock_ += static_cast<Time>(model_.wake_ns);
   if (trace_ != nullptr) {
     trace_->record(self->clock_, self->id_, TraceKind::cond_wake,
-                   notified ? 1 : 0);
+                   timed && notified ? 1 : 0);
   }
   reacquire_after_wait(lk, self, mutex_cell, op);
   return notified;

@@ -1,15 +1,16 @@
-// Parker: futex(2) backend with a portable poll/nap fallback.
+// Parker: futex(2) backend with a portable nap fallback.
 //
 // The spin phase runs first in both backends — a hand-off that lands
-// within Config::park_spin_ns never touches the kernel.  After that the
-// Linux path FUTEX_WAITs on the epoch word itself (process-shared: no
-// FUTEX_PRIVATE_FLAG, the node lives in the mapped arena), so a parked
-// process costs zero CPU until Parker::wake FUTEX_WAKEs it.  The fallback
-// reuses the EventCount escalation shape: yields, then exponentially
-// growing naps clipped to the deadline.
+// within the caller's spin budget never touches the kernel.  After that
+// the Linux path sets the sleeper bit and FUTEX_WAITs on the word itself
+// (process-shared: no FUTEX_PRIVATE_FLAG, the node lives in the mapped
+// arena), so a parked process costs zero CPU until Parker::wake
+// FUTEX_WAKEs it.  The fallback naps in short slices clipped to the
+// deadline.
 #include "mpf/sync/parker.hpp"
 
 #include <chrono>
+#include <climits>
 #include <ctime>
 
 #include "mpf/sync/backoff.hpp"
@@ -18,8 +19,6 @@
 #include <linux/futex.h>
 #include <sys/syscall.h>
 #include <unistd.h>
-
-#include <cerrno>
 #endif
 
 namespace mpf::sync {
@@ -33,15 +32,53 @@ std::uint64_t steady_now_ns() noexcept {
 }
 
 #if defined(__linux__)
-long futex_call(const std::atomic<std::uint32_t>* cell, int op,
-                std::uint32_t val, const timespec* timeout) noexcept {
+long futex_call(std::atomic<std::uint32_t>* cell, int op, std::uint32_t val,
+                const timespec* timeout) noexcept {
   // The cast is sound: std::atomic<uint32_t> is lock-free and layout
   // compatible with the futex word (static_assert in the header keeps the
   // node at exactly 4 bytes).
-  return ::syscall(SYS_futex, reinterpret_cast<const std::uint32_t*>(cell), op,
-                   val, timeout, nullptr, 0);
+  return ::syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(cell), op, val,
+                   timeout, nullptr, 0);
+}
+
+/// One sleep on a word last read as `cur` (epoch still the expected one):
+/// flag the sleeper, then FUTEX_WAIT for at most `remaining_ns`.  Returns
+/// early, without sleeping, when the word moved under the flagging CAS.
+/// The kernel re-checks the word under its bucket lock, so a wake racing
+/// the flag cannot be lost: either the waker's add saw the bit, or the
+/// FUTEX_WAIT sees the moved word.
+void sleep_on(WaitNode& node, std::uint32_t cur,
+              std::uint64_t remaining_ns) noexcept {
+  if ((cur & Parker::kSleeper) == 0 &&
+      !node.epoch.compare_exchange_strong(cur, cur | Parker::kSleeper,
+                                          std::memory_order_seq_cst)) {
+    return;
+  }
+  timespec ts;
+  timespec* timeout = nullptr;
+  if (remaining_ns != kNoParkDeadline) {
+    ts.tv_sec = static_cast<time_t>(remaining_ns / 1'000'000'000);
+    ts.tv_nsec = static_cast<long>(remaining_ns % 1'000'000'000);
+    timeout = &ts;
+  }
+  // EAGAIN (word moved), EINTR, ETIMEDOUT and wakes all return to the
+  // caller's loop, which re-reads the word and the clock.
+  futex_call(&node.epoch, FUTEX_WAIT, cur | Parker::kSleeper, timeout);
+}
+#else
+void sleep_on(WaitNode&, std::uint32_t, std::uint64_t remaining_ns) noexcept {
+  // No futex: nap in slices short enough that a wake is seen promptly.
+  constexpr std::uint64_t kNapNs = 100'000;
+  const std::uint64_t nap = remaining_ns < kNapNs ? remaining_ns : kNapNs;
+  timespec ts{static_cast<time_t>(nap / 1'000'000'000),
+              static_cast<long>(nap % 1'000'000'000)};
+  ::nanosleep(&ts, nullptr);
 }
 #endif
+
+/// Whether this thread's last sleep was woken within its park's spin
+/// budget (see Parker::park).
+thread_local bool t_spin_full = false;
 
 }  // namespace
 
@@ -53,80 +90,59 @@ bool Parker::has_futex() noexcept {
 #endif
 }
 
-bool Parker::park(const WaitNode& node, std::uint32_t expected,
+bool Parker::park(WaitNode& node, std::uint32_t expected,
                   std::uint64_t deadline_ns, std::uint64_t spin_ns) noexcept {
-  // Phase 1: spin.  Same rationale as EventCount's hot window — pipeline
-  // hand-offs complete at nanosecond cadence and must not pay a syscall.
-  if (spin_ns != 0) {
-    const std::uint64_t spin_until = steady_now_ns() + spin_ns;
+  // Phase 1: spin (pause clusters, then yields) — pipeline hand-offs
+  // complete at microsecond cadence and must not pay a syscall.  Waking
+  // a sleeper can cost milliseconds (a halted vCPU on a loaded host), and
+  // in a lock-step computation a late wake-up pushes the peers past short
+  // spins into sleeps of their own, so the late wake-ups chain.  A thread
+  // whose last sleep a full spin would have saved therefore spins it all;
+  // one whose sleeps outlast the budget spins a fraction and stays idle.
+  const std::uint64_t start = steady_now_ns();
+  const std::uint64_t spin =
+      t_spin_full ? spin_ns : spin_ns / kShortSpinDivisor;
+  if (spin != 0) {
+    std::uint64_t spin_until = start + spin;
+    if (spin_until > deadline_ns) spin_until = deadline_ns;
     Backoff backoff;
-    const BackoffPolicy policy;
     do {
-      if (node.epoch.load(std::memory_order_acquire) != expected) return true;
-      if (backoff.rounds() >= policy.spin_limit) backoff.reset();
+      if (moved(node, expected)) return true;
       backoff.pause();
     } while (steady_now_ns() < spin_until);
   }
-
-#if defined(__linux__)
-  // Phase 2 (futex): block on the epoch word.  FUTEX_WAIT re-checks the
-  // word under the kernel's bucket lock, so a wake racing the final user
-  // space check cannot be lost.
-  for (;;) {
-    if (node.epoch.load(std::memory_order_acquire) != expected) return true;
-    timespec ts;
-    timespec* timeout = nullptr;
+  // Phase 2: sleep until the epoch moves or the deadline passes.  Expiry
+  // is decided against the clock, so a wait never ends early.
+  for (bool slept = false;; slept = true) {
+    const std::uint32_t cur = node.epoch.load(std::memory_order_acquire);
+    if ((cur & ~kSleeper) != expected) {
+      if (slept) t_spin_full = steady_now_ns() - start <= spin_ns;
+      return true;
+    }
+    std::uint64_t remaining = kNoParkDeadline;
     if (deadline_ns != kNoParkDeadline) {
       const std::uint64_t now_ns = steady_now_ns();
       if (now_ns >= deadline_ns) {
-        return node.epoch.load(std::memory_order_acquire) != expected;
+        t_spin_full = false;
+        return false;
       }
-      const std::uint64_t remaining = deadline_ns - now_ns;
-      ts.tv_sec = static_cast<time_t>(remaining / 1'000'000'000);
-      ts.tv_nsec = static_cast<long>(remaining % 1'000'000'000);
-      timeout = &ts;
+      remaining = deadline_ns - now_ns;
     }
-    const long rc = futex_call(&node.epoch, FUTEX_WAIT, expected, timeout);
-    if (rc == -1 && errno == ETIMEDOUT) {
-      return node.epoch.load(std::memory_order_acquire) != expected;
-    }
-    // EAGAIN (word already moved), EINTR (signal), or a wake: loop and
-    // re-check the epoch.
+    sleep_on(node, cur, remaining);
   }
-#else
-  // Phase 2 (portable): yield, then nap with exponential backoff clipped
-  // to the deadline.  Naps never shrink below the policy floor — see
-  // EventCount::wait_deadline for the sub-tick round-up argument.
-  const BackoffPolicy policy;
-  Backoff backoff;
-  std::uint64_t sleep_ns = policy.sleep_min_ns;
-  for (;;) {
-    if (node.epoch.load(std::memory_order_acquire) != expected) return true;
-    const std::uint64_t now_ns = steady_now_ns();
-    if (deadline_ns != kNoParkDeadline && now_ns >= deadline_ns) return false;
-    if (backoff.rounds() < policy.spin_limit + policy.yield_limit) {
-      backoff.pause();
-      continue;
-    }
-    std::uint64_t nap = sleep_ns;
-    if (deadline_ns != kNoParkDeadline) {
-      const std::uint64_t remaining = deadline_ns - now_ns;
-      if (nap > remaining) nap = remaining;
-      if (nap < policy.sleep_min_ns) nap = policy.sleep_min_ns;
-    }
-    timespec ts{static_cast<time_t>(nap / 1'000'000'000),
-                static_cast<long>(nap % 1'000'000'000)};
-    ::nanosleep(&ts, nullptr);
-    sleep_ns = sleep_ns * 2 > policy.sleep_max_ns ? policy.sleep_max_ns
-                                                  : sleep_ns * 2;
-  }
-#endif
 }
 
 void Parker::wake(WaitNode& node) noexcept {
-  node.epoch.fetch_add(1, std::memory_order_seq_cst);
+  const std::uint32_t old = node.epoch.fetch_add(kStep, std::memory_order_seq_cst);
 #if defined(__linux__)
-  futex_call(&node.epoch, FUTEX_WAKE, 1, nullptr);
+  if ((old & kSleeper) != 0) {
+    // Clearing after the add is safe: a sleeper that re-flags in between
+    // is either woken below or finds its FUTEX_WAIT value stale.
+    node.epoch.fetch_and(~kSleeper, std::memory_order_relaxed);
+    futex_call(&node.epoch, FUTEX_WAKE, INT_MAX, nullptr);
+  }
+#else
+  (void)old;
 #endif
 }
 

@@ -25,7 +25,6 @@
 #include "mpf/runtime/timer.hpp"
 #include "mpf/shm/region.hpp"
 #include "mpf/sim/fault.hpp"
-#include "mpf/sync/event_count.hpp"
 
 namespace {
 
@@ -689,30 +688,6 @@ TEST(TimedTransport, LnvcAdapterRoutesThroughFacilityDeadline) {
   EXPECT_EQ(t.send_timed(payload.data(), payload.size(), 10'000'000),
             Status::timed_out);
   EXPECT_EQ(f.stats().sends_timed_out, 1u);
-}
-
-// ------------------------------------------------------------------- sync
-
-TEST(EventCountDeadline, ExpiresAndWakes) {
-  const auto now_ns = [] {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-  };
-  sync::EventCount ec;
-  const sync::EventCount::Ticket t = ec.prepare_wait();
-  rt::WallTimer timer;
-  EXPECT_FALSE(ec.wait_deadline(t, now_ns() + 30'000'000));
-  EXPECT_GE(timer.elapsed_s(), 0.025);
-
-  const sync::EventCount::Ticket t2 = ec.prepare_wait();
-  std::thread waker([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    ec.notify_all();
-  });
-  EXPECT_TRUE(ec.wait_deadline(t2, now_ns() + 5'000'000'000ull));
-  waker.join();
 }
 
 }  // namespace

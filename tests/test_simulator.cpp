@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "mpf/sim/simulator.hpp"
-#include "mpf/sync/event_count.hpp"
+#include "mpf/sync/parker.hpp"
 #include "mpf/sync/spinlock.hpp"
 
 namespace {
@@ -104,7 +104,7 @@ TEST(Simulator, CondWaitWakesOnNotify) {
   sim::Time waiter_done = 0;
   sim.spawn([&] {
     sim.mutex_lock(&lock);
-    while (!flag) sim.cond_wait(&lock, &cond);
+    while (!flag) sim.cond_wait_for(&lock, &cond, ~std::uint64_t{0});
     waiter_done = sim.now();
     sim.mutex_unlock(&lock);
   });
@@ -126,7 +126,7 @@ TEST(Simulator, DeadlockIsDetected) {
   sync::EventCount cond;
   sim.spawn([&] {
     sim.mutex_lock(&lock);
-    sim.cond_wait(&lock, &cond);  // nobody will ever notify
+    sim.cond_wait_for(&lock, &cond, ~std::uint64_t{0});  // nobody notifies
     sim.mutex_unlock(&lock);
   });
   sim.spawn([&] { sim.advance(10); });

@@ -1,14 +1,16 @@
-// Synchronization primitives: mutual exclusion, fairness, barriers,
-// eventcounts — all as process-shared PODs.
+// Synchronization primitives: mutual exclusion, fairness, barriers, and
+// the Parker wait word every blocking wait sleeps on — all as
+// process-shared PODs.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
 #include "mpf/sync/backoff.hpp"
 #include "mpf/sync/barrier.hpp"
-#include "mpf/sync/event_count.hpp"
+#include "mpf/sync/parker.hpp"
 #include "mpf/sync/spinlock.hpp"
 
 namespace {
@@ -81,35 +83,153 @@ TEST(SenseBarrier, SingleParticipantNeverBlocks) {
   EXPECT_EQ(barrier.participants(), 1u);
 }
 
+std::uint64_t steady_ns() {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
 TEST(EventCount, NotifyWakesWaiter) {
   EventCount ec;
   std::atomic<bool> woke{false};
-  const auto ticket = ec.prepare_wait();
+  const std::uint32_t ticket = Parker::prepare(ec);
   std::thread waiter([&] {
-    ec.wait(ticket);
+    EXPECT_TRUE(Parker::park(ec, ticket, kNoParkDeadline, 0));
     woke.store(true);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(woke.load());
-  ec.notify_all();
+  Parker::wake(ec);
   waiter.join();
   EXPECT_TRUE(woke.load());
 }
 
 TEST(EventCount, NotifyBeforeWaitIsNotLost) {
   EventCount ec;
-  const auto ticket = ec.prepare_wait();
-  ec.notify_all();
-  ec.wait(ticket);  // returns immediately: generation moved
-  SUCCEED();
+  const std::uint32_t ticket = Parker::prepare(ec);
+  Parker::wake(ec);
+  // Returns at once, spin or no spin: the epoch already moved.
+  EXPECT_TRUE(Parker::park(ec, ticket, kNoParkDeadline, 0));
+  EXPECT_TRUE(Parker::park(ec, ticket, kNoParkDeadline, 1'000'000));
+  // Nobody ever slept, so the wake left no sleeper flag behind.
+  EXPECT_EQ(ec.epoch.load() & Parker::kSleeper, 0u);
 }
 
-TEST(EventCount, WaitRoundsGivesUp) {
-  EventCount ec;
-  const auto ticket = ec.prepare_wait();
-  EXPECT_FALSE(ec.wait_rounds(ticket, 8));  // nothing notifies
-  ec.notify_all();
-  EXPECT_TRUE(ec.wait_rounds(ticket, 8));
+TEST(Parker, DeadlineExpiresNeverEarly) {
+  WaitNode node;
+  const std::uint32_t ticket = Parker::prepare(node);
+  // Sub-tick, tick-scale and long remainders, with and without a spin
+  // budget longer than the wait: expiry is decided against the clock.
+  for (const std::uint64_t wait_ns :
+       {std::uint64_t{1}, std::uint64_t{700}, std::uint64_t{20'000},
+        std::uint64_t{1'000'000}, std::uint64_t{30'000'000}}) {
+    for (const std::uint64_t spin_ns : {std::uint64_t{0}, 2 * wait_ns}) {
+      const std::uint64_t deadline = steady_ns() + wait_ns;
+      EXPECT_FALSE(Parker::park(node, ticket, deadline, spin_ns));
+      EXPECT_GE(steady_ns(), deadline) << wait_ns << " ns, spin " << spin_ns;
+    }
+  }
+  // A wake before the deadline ends the wait early with true.
+  std::thread waker([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    Parker::wake(node);
+  });
+  EXPECT_TRUE(Parker::park(node, ticket, steady_ns() + 5'000'000'000ull, 0));
+  waker.join();
+}
+
+TEST(Parker, WakeAllRousesEverySleeper) {
+  WaitNode node;
+  constexpr int kSleepers = 8;
+  const std::uint32_t ticket = Parker::prepare(node);
+  std::atomic<int> woken{0};
+  std::vector<std::thread> sleepers;
+  for (int i = 0; i < kSleepers; ++i) {
+    sleepers.emplace_back([&] {
+      if (Parker::park(node, ticket, steady_ns() + 10'000'000'000ull, 0)) {
+        woken.fetch_add(1);
+      }
+    });
+  }
+  // Give every sleeper time to reach its sleep.
+  while ((node.epoch.load() & Parker::kSleeper) == 0) {
+    std::this_thread::yield();
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(woken.load(), 0);
+  Parker::wake(node);
+  for (auto& t : sleepers) t.join();
+  EXPECT_EQ(woken.load(), kSleepers);
+  EXPECT_EQ(node.epoch.load() & Parker::kSleeper, 0u);
+}
+
+TEST(Parker, WakeRacingTheSleeperBitNeverHangs) {
+  // Each round the sleeper snapshots, publishes the round, and parks; the
+  // waker wakes as soon as it sees the round.  The wake lands anywhere
+  // from before the sleeper's flagging CAS to after its FUTEX_WAIT; a lost
+  // one would hold the park to its 10 s deadline.
+  constexpr std::uint32_t kRounds = 100'000;
+  WaitNode node;
+  std::atomic<std::uint32_t> round{0};
+  std::thread waker([&] {
+    for (std::uint32_t i = 1; i <= kRounds; ++i) {
+      while (round.load(std::memory_order_acquire) < i) {
+        std::this_thread::yield();
+      }
+      Parker::wake(node);
+    }
+  });
+  std::uint32_t lost = 0;
+  for (std::uint32_t i = 1; i <= kRounds; ++i) {
+    const std::uint32_t ticket = Parker::prepare(node);
+    round.store(i, std::memory_order_release);
+    if (!Parker::park(node, ticket, steady_ns() + 10'000'000'000ull, 0)) {
+      ++lost;
+      break;
+    }
+  }
+  if (lost != 0) round.store(kRounds + 1);  // let the waker finish
+  waker.join();
+  EXPECT_EQ(lost, 0u);
+}
+
+TEST(Parker, SpinsTheFullBudgetOnlyAfterASleepItWouldHaveSaved) {
+  // The sleeper bit tells a spinning park from a sleeping one.  A fresh
+  // thread spins 1/16 of the budget; after a sleep that ended within the
+  // budget it spins all of it, until a park expires.
+  constexpr std::uint64_t kSpinNs = 2'000'000'000;  // short spin: 125 ms
+  WaitNode node;
+  std::atomic<int> started{0};
+  std::thread parker([&] {
+    for (int i = 0; i < 4; ++i) {
+      const std::uint32_t ticket = Parker::prepare(node);
+      started.store(i + 1);
+      const std::uint64_t deadline =
+          i == 2 ? steady_ns() + 10'000'000 : kNoParkDeadline;
+      EXPECT_EQ(Parker::park(node, ticket, deadline, kSpinNs), i != 2) << i;
+    }
+  });
+  auto await_start = [&](int park) {
+    while (started.load() < park) std::this_thread::yield();
+  };
+  auto expect_short_spin = [&] {
+    const std::uint64_t t0 = steady_ns();
+    while ((node.epoch.load() & Parker::kSleeper) == 0) {
+      std::this_thread::yield();
+    }
+    EXPECT_LT(steady_ns() - t0, kSpinNs / 2);
+    Parker::wake(node);
+  };
+  await_start(1);  // fresh thread: short spin, then a sleep ended early
+  expect_short_spin();
+  await_start(2);  // so this park spins the whole budget
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  EXPECT_EQ(node.epoch.load() & Parker::kSleeper, 0u);
+  Parker::wake(node);
+  await_start(4);  // park 3 expired, so park 4 is back to the short spin
+  expect_short_spin();
+  parker.join();
 }
 
 TEST(Backoff, RoundsGrow) {
@@ -119,20 +239,6 @@ TEST(Backoff, RoundsGrow) {
   EXPECT_EQ(backoff.rounds(), 10u);
   backoff.reset();
   EXPECT_EQ(backoff.rounds(), 0u);
-}
-
-TEST(Backoff, SleepStageIsBounded) {
-  BackoffPolicy policy;
-  policy.spin_limit = 2;
-  policy.yield_limit = 2;
-  policy.sleep_min_ns = 1000;
-  policy.sleep_max_ns = 2000;
-  Backoff backoff(policy);
-  const auto start = std::chrono::steady_clock::now();
-  for (int i = 0; i < 20; ++i) backoff.pause();
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  // 16 sleep rounds capped at 2 us each, plus scheduling slop.
-  EXPECT_LT(elapsed, std::chrono::milliseconds(500));
 }
 
 }  // namespace
