@@ -57,7 +57,8 @@ struct Config {
   bool per_process_cache = true;
   /// Blocks one process may hold in its magazine; 0 derives a bound from
   /// message_blocks / max_processes (and disables caching entirely for
-  /// pools too small to spare hostage blocks).
+  /// pools too small to spare hostage blocks).  Only chains of at most
+  /// half this many blocks pass through the magazine.
   std::size_t cache_blocks = 0;
 
   BlockPolicy block_policy = BlockPolicy::wait;

@@ -187,6 +187,10 @@ struct PoolShardInfo {
   std::uint32_t index = 0;
   std::size_t free_blocks = 0;
   std::size_t block_capacity = 0;
+  /// Fragmentation of the free blocks: maximal address-contiguous runs,
+  /// and the length of the longest (1 run = fully coalesced).
+  std::size_t free_runs = 0;
+  std::size_t largest_free_run = 0;
   std::size_t free_msgs = 0;
   std::uint64_t lock_acquisitions = 0;
   std::uint64_t lock_wait_ns = 0;
@@ -592,6 +596,8 @@ class Facility {
   /// Memory node a block/extent offset was carved on (scan of the
   /// recorded shard + slab sub-pool ranges; 0 when not found or flat).
   [[nodiscard]] std::uint32_t node_of_offset(shm::Offset off) const noexcept;
+  /// Shard whose block range holds `block` (0 when none does).
+  [[nodiscard]] std::uint32_t owner_shard(shm::Offset block) const noexcept;
   void lock_shard(detail::PoolShard& s, ProcessId pid);
   /// Pop a message header plus a `need`-block chain for `pid`, preferring
   /// its magazine, then the target node's shards (pid's home shard with
@@ -607,9 +613,21 @@ class Facility {
   /// satisfied.
   bool try_gather(ProcessId pid, std::size_t need, std::uint32_t target_node,
                   shm::Offset& msg, detail::GatherChain& chain);
-  /// Give a partial gather back to the home shard (starvation paths).
+  /// Give a partial gather back to the pools (starvation paths).
   void return_gather(ProcessId pid, shm::Offset& msg,
                      detail::GatherChain& chain);
+  /// The one block-free path, flat and NUMA alike: return the `count`-block
+  /// chain at `head` stretch by stretch to the shards whose ranges hold
+  /// it, and header `msg` (when set) with the last stretch, or to shard
+  /// `home` when there are no blocks.  The arguments are the journal
+  /// operands that cover the nodes: each critical section advances them
+  /// past what it returned, so at every suspension point they name
+  /// exactly the nodes still in hand.  A reaper (`reaping`) takes no
+  /// shard lock: the pools' own locks order its pushes, and a sweep gains
+  /// no suspension point at which the reaper itself could die.
+  void free_chain(ProcessId pid, std::uint32_t home, shm::Offset& head,
+                  std::uint32_t& count, shm::Offset& msg,
+                  bool reaping = false);
   Status receive_impl(ProcessId pid, LnvcId id, void* buf, std::size_t cap,
                       std::size_t* out_len, bool blocking, bool* out_ready,
                       std::uint64_t timeout_ns = 0);
@@ -726,6 +744,9 @@ class Facility {
   /// Roll `pid`'s journaled half-done operation forward or back.  Called
   /// by reap() with no locks held; takes what it needs robustly.
   void resolve_journal(ProcessId reaper, detail::ProcSlot& ps, ProcessId pid);
+  /// reap()'s sweep of a claimed `pid`; then resumes every sweep `pid`
+  /// itself left unfinished by dying as a reaper.
+  void sweep(ProcessId reaper, ProcessId pid);
   /// Opportunistic reap after a seizure, once the seizing op holds no
   /// locks.  No-op for kNoProcess.
   void reap_if_dead(ProcessId reaper, ProcessId dead);

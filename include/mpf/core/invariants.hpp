@@ -34,7 +34,9 @@ namespace mpf {
 /// DESIGN.md §13; tests assert that a targeted corruption is reported
 /// under the right class).
 enum class Invariant : std::uint32_t {
-  conservation,  ///< block/slab ledger across pools, FIFOs, journals
+  conservation,  ///< block/slab ledger across pools, FIFOs, journals;
+                 ///  shard maps (free bits vs. counts, seam links, no
+                 ///  free block reachable from a FIFO/magazine/journal)
   fifo,          ///< per-circuit FIFO structure: seq order, head/tail,
                  ///  n_queued, connection counts, chain shape
   ledger,        ///< per-circuit quota ledger vs. recomputed charges
@@ -85,6 +87,11 @@ class InvariantOracle {
   [[nodiscard]] static detail::LnvcDesc& lnvc(const Facility& f, LnvcId id);
   [[nodiscard]] static detail::ProcSlot& proc(const Facility& f,
                                               ProcessId pid);
+  /// Pool shard `index` (< pool_shards()), and the arena its offsets
+  /// resolve in.
+  [[nodiscard]] static detail::PoolShard& shard(const Facility& f,
+                                                std::uint32_t index);
+  [[nodiscard]] static shm::Arena& arena(const Facility& f);
   [[nodiscard]] static detail::MsgHeader* msg_at(const Facility& f,
                                                  shm::Offset off);
 };

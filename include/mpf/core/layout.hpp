@@ -20,6 +20,7 @@
 #include "mpf/core/types.hpp"
 #include "mpf/shm/free_list.hpp"
 #include "mpf/shm/ref.hpp"
+#include "mpf/shm/run_allocator.hpp"
 #include "mpf/sync/parker.hpp"
 #include "mpf/sync/spinlock.hpp"
 
@@ -302,25 +303,23 @@ struct GatherChain {
   std::size_t count = 0;
 };
 
-/// One shard of the block/message-header pool.  Each shard owns its free
-/// lists behind its own lock, so allocator traffic from processes homed on
+/// One shard of the block/message-header pool.  Each shard owns its pools
+/// behind its own lock, so allocator traffic from processes homed on
 /// different shards never serializes.  Cache-line aligned so shard locks do
 /// not false-share.
 struct alignas(64) PoolShard {
   sync::SpinLock lock;  ///< guards blocks + msgs (platform-mediated)
-  shm::FreeList blocks;
+  /// The block range this shard carved and its free bitmap.  Every block
+  /// returns to the shard whose range holds it (node attribution: shard i
+  /// serves node i & node_mask).
+  shm::RunAllocator blocks;
   shm::FreeList msgs;
-  /// Arena range [range_lo, range_hi) this shard's blocks were carved
-  /// from (node attribution: shard i serves node i & node_mask, so any
-  /// block offset maps back to its home node via these ranges).
-  shm::Offset range_lo;
-  shm::Offset range_hi;
   // Contention counters (surfaced through FacilityStats / mpf_inspect).
   std::atomic<std::uint64_t> lock_acquisitions;
   std::atomic<std::uint64_t> lock_wait_ns;  ///< time spent acquiring `lock`
   std::atomic<std::uint64_t> steals;        ///< grabs by non-home processes
   std::atomic<std::uint64_t> refills;       ///< cache refill batches served
-  std::atomic<std::uint64_t> flushes;       ///< cache overflow batches taken
+  std::atomic<std::uint64_t> flushes;       ///< freed chain stretches taken
 };
 
 /// One NUMA node's sub-pool of contiguous slab extents.  With
@@ -455,7 +454,9 @@ struct alignas(64) ProcSlot {
   /// Nested free_message record.  fm_stage is its commit point: 0 = off,
   /// 1 = armed with blocks not yet pushed, 2 = armed with blocks disposed
   /// (header still pending).  Armed/advanced only inside the critical
-  /// section that performs the corresponding push.
+  /// section that performs the corresponding push: returning blocks to
+  /// the shards advances (fm_head, fm_count) past them, and landing the
+  /// header clears fm_msg.
   std::atomic<std::uint32_t> fm_stage;
   shm::Offset fm_msg;   ///< the header being freed
   shm::Offset fm_head;  ///< its block chain (valid while fm_stage == 1)
@@ -534,6 +535,13 @@ struct alignas(64) ProcSlot {
   std::uint32_t fast_lnvc;
   std::uint32_t fast_gen;
   std::uint64_t fast_seen;
+
+  /// Reap sweep of this (dead) process in progress: the sweeping reaper's
+  /// pid + 1, cleared when the sweep completes, and whether its journal
+  /// is already resolved.  A reaper that dies part-way is itself reaped,
+  /// and that reap resumes the sweeps it left unfinished.
+  std::atomic<std::uint32_t> swept_by;
+  std::uint32_t journal_resolved;
 };
 
 /// Root object of an MPF facility, at a fixed offset in the arena.

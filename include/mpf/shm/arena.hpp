@@ -3,10 +3,10 @@
 // The arena turns a raw Region into a typed allocator whose bookkeeping
 // lives *inside* the region, so any process mapping the region sees the
 // same state.  Allocation is a lock-free atomic bump; recycling of
-// fixed-size objects (message blocks, descriptors) is handled by FreeList
-// (free_list.hpp), exactly as in the paper's design where all dynamic
-// structures are carved from shared memory at init() and linked into free
-// lists thereafter.
+// fixed-size objects is handled by RunAllocator (message blocks,
+// run_allocator.hpp) and FreeList (descriptors, free_list.hpp), as in the
+// paper's design where all dynamic structures are carved from shared
+// memory at init() and linked into free lists thereafter.
 #pragma once
 
 #include <atomic>
@@ -57,7 +57,7 @@ class Arena {
   Offset allocate(std::size_t bytes, std::size_t align = 8);
 
   /// Return bytes to the live-byte accounting (the space itself is only
-  /// reused through FreeLists; the bump cursor never rewinds).
+  /// reused through the carved pools; the bump cursor never rewinds).
   void account_free(std::size_t bytes) noexcept;
 
   /// Typed allocation + default construction.  T must be safe to place in

@@ -4,17 +4,12 @@
 // blocks is created in shared memory.  Space allocated from this free list
 // is used for messages during program execution.  Like message blocks,
 // LNVC, send, and receive descriptors are linked into free lists when not
-// in use."  This type is that mechanism: nodes are carved from the arena
-// once, then recycled forever.  A spinlock guards the list; the lock word
+// in use."  This type is that mechanism for the single-node pools
+// (message headers, connections, slab extents): nodes are carved from the
+// arena once, then recycled forever through an intrusive stack.  Message
+// blocks, which are taken and returned as chains, live in a
+// shm::RunAllocator instead.  A spinlock guards the list; the lock word
 // is part of the structure so the whole thing is position-independent.
-//
-// The list is organized as a stack of *segments*: each push_chain() of a
-// recycled message chain becomes one segment that remembers its length and
-// its tail in the head node's free bytes.  pop_chain() therefore grabs
-// whole segments in O(1) — the steady-state case, where freed chains come
-// back at the sizes senders ask for — and only walks links when it has to
-// split a segment.  It also hands back the tail of the popped chain, so
-// callers never re-walk a chain to find its end.
 #pragma once
 
 #include <cstddef>
@@ -26,14 +21,13 @@
 
 namespace mpf::shm {
 
-/// Intrusive singly linked free list of fixed-size nodes grouped into
-/// counted segments.  The first 8 bytes of every node are reused as the
-/// next-link while the node is free; a segment's head node additionally
-/// carries {next segment, count, tail} in bytes [8, 32).  Node contents
-/// are otherwise untouched.  Zero-init ready.
+/// Intrusive singly linked free stack of fixed-size nodes.  The first 8
+/// bytes of every node are reused as the next-link while the node is
+/// free; node contents are otherwise untouched.  Zero-init ready.
 class FreeList {
  public:
-  /// Free nodes must hold a link word plus segment metadata.
+  /// Node-size floor of every arena pool (blocks included): at most two
+  /// nodes share a 64-byte line.
   static constexpr std::size_t kMinNodeBytes = 32;
 
   FreeList() noexcept = default;
@@ -41,28 +35,14 @@ class FreeList {
   FreeList& operator=(const FreeList&) = delete;
 
   /// Allocate `count` nodes of `node_bytes` each from the arena and push
-  /// them as one segment.  Called once from init(); not thread-safe
-  /// against pop/push.
+  /// them all.  Called once from init(); not thread-safe against pop/push.
   void carve(Arena& arena, std::size_t node_bytes, std::size_t count);
 
   /// Pop one node; returns kNullOffset when the list is empty.
   [[nodiscard]] Offset pop(Arena& arena) noexcept;
 
-  /// Push one node back (a one-node segment).
+  /// Push one node back.
   void push(Arena& arena, Offset node) noexcept;
-
-  /// Pop up to `want` nodes as a null-terminated chain linked through
-  /// their first words; returns the head, writes the number obtained and
-  /// (when `tail` is non-null) the last node of the chain.  Whole
-  /// segments transfer in O(1); splitting one walks at most `want` links.
-  [[nodiscard]] Offset pop_chain(Arena& arena, std::size_t want,
-                                 std::size_t& got,
-                                 Offset* tail = nullptr) noexcept;
-
-  /// Push back a chain of `count` nodes as one segment.  The chain must
-  /// be linked head..tail through first words; the tail's link is ignored.
-  void push_chain(Arena& arena, Offset head, Offset tail,
-                  std::size_t count) noexcept;
 
   [[nodiscard]] std::size_t available() const noexcept {
     return count_.load(std::memory_order_relaxed);
@@ -71,24 +51,13 @@ class FreeList {
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
  private:
-  /// Segment bookkeeping overlaid on a free head node after its link word.
-  struct SegMeta {
-    Offset next_seg;
-    std::uint64_t count;
-    Offset tail;
-  };
-
   static Offset& link_of(Arena& arena, Offset node) noexcept {
     return *static_cast<Offset*>(arena.raw(node));
-  }
-  static SegMeta& meta_of(Arena& arena, Offset node) noexcept {
-    return *reinterpret_cast<SegMeta*>(static_cast<std::byte*>(arena.raw(node)) +
-                                       sizeof(Offset));
   }
 
   sync::SpinLock lock_;
   std::atomic<std::uint64_t> count_{0};
-  Offset head_ = kNullOffset;  ///< first segment's head node
+  Offset head_ = kNullOffset;
   std::uint64_t node_bytes_ = 0;
   std::uint64_t capacity_ = 0;
 };

@@ -16,8 +16,8 @@ constexpr shm::Offset kRootOffset = (sizeof(shm::ArenaHeader) + 63) & ~63ull;
 
 constexpr std::size_t align8(std::size_t v) { return (v + 7) & ~std::size_t{7}; }
 
-/// Free-list node size for an object: 8-aligned and at least large enough
-/// for the list's segment metadata (FreeList::kMinNodeBytes).
+/// Pool node size for an object: 8-aligned and at least the node floor
+/// (FreeList::kMinNodeBytes).
 std::size_t node_bytes(std::size_t object_bytes) {
   return std::max(align8(object_bytes), shm::FreeList::kMinNodeBytes);
 }
@@ -167,9 +167,9 @@ Config Config::resolved() const noexcept {
                  sizeof(detail::ReadySet) +
              static_cast<std::size_t>(c.max_pollsets + c.max_processes) *
                  (ready_set_words(c.max_lnvcs) * 8 + 64);
-    // One 64-byte alignment gap per carve (two free lists per shard, one
-    // slab sub-pool per node).
-    bytes += (2 * static_cast<std::size_t>(c.pool_shards) +
+    // One 64-byte alignment gap per carve (blocks, their bitmap and the
+    // header list per shard, one slab sub-pool per node).
+    bytes += (3 * static_cast<std::size_t>(c.pool_shards) +
               static_cast<std::size_t>(c.numa_nodes) + 4) * 64;
     bytes += bytes / 4 + 65536;  // alignment waste + headroom
     c.arena_bytes = bytes;
@@ -244,13 +244,12 @@ Facility Facility::create(const Config& config, shm::Region& region,
         c.message_blocks / n + (i < c.message_blocks % n ? 1 : 0);
     const std::size_t msgs_i =
         c.message_headers / n + (i < c.message_headers % n ? 1 : 0);
-    sh[i].range_lo = static_cast<shm::Offset>(arena.used());
     sh[i].blocks.carve(arena, block_node_bytes(c.block_payload), blocks_i);
-    sh[i].range_hi = static_cast<shm::Offset>(arena.used());
     sh[i].msgs.carve(arena, node_bytes(sizeof(detail::MsgHeader)), msgs_i);
-    if (c.numa_nodes > 1 && sh[i].range_hi > sh[i].range_lo) {
-      numa_bind_range(arena.raw(sh[i].range_lo),
-                      sh[i].range_hi - sh[i].range_lo, i & hdr->node_mask);
+    if (c.numa_nodes > 1 && blocks_i > 0) {
+      numa_bind_range(arena.raw(sh[i].blocks.base()),
+                      sh[i].blocks.end() - sh[i].blocks.base(),
+                      i & hdr->node_mask);
     }
   }
   hdr->blocks_total = c.message_blocks;

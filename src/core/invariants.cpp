@@ -91,6 +91,15 @@ detail::ProcSlot& InvariantOracle::proc(const Facility& f, ProcessId pid) {
   return f.pslot(pid);
 }
 
+detail::PoolShard& InvariantOracle::shard(const Facility& f,
+                                          std::uint32_t index) {
+  return f.shards()[index];
+}
+
+shm::Arena& InvariantOracle::arena(const Facility& f) {
+  return const_cast<Facility&>(f).arena_;
+}
+
 detail::MsgHeader* InvariantOracle::msg_at(const Facility& f,
                                            shm::Offset off) {
   return off == shm::kNullOffset
@@ -157,6 +166,29 @@ InvariantReport InvariantOracle::check(const Facility& f, bool quiescent) {
 
   const std::uint64_t msg_cap = h.msgs_total + 2;  // cycle guard
   detail::LnvcDesc* table = f.table();
+  // A block reachable from a FIFO, a magazine or a journal is not free:
+  // walk `count` links (stopping where they leave every shard's range)
+  // and read each block's bit in its owner's map.  Exact under the lock
+  // that owns the chain: its blocks left the pool before they entered it.
+  const auto expect_taken = [&](shm::Offset b, std::uint64_t count,
+                                LnvcId id, ProcessId pid, const char* where) {
+    const detail::PoolShard* sh = f.shards();
+    for (std::uint64_t i = 0; i < count && i <= h.blocks_total; ++i) {
+      const std::uint32_t s = f.owner_shard(b);
+      const shm::RunAllocator& runs = sh[s].blocks;
+      if (!runs.contains(b) || (b - runs.base()) % runs.node_bytes() != 0) {
+        return;
+      }
+      if (runs.is_free(f.arena_, runs.index_of(b))) {
+        c.fail(Invariant::conservation, id, pid,
+               std::string("block ") + format_u64(runs.index_of(b)) +
+                   " of shard " + format_u64(s) + " is free but reachable "
+                   "from " + where);
+        return;
+      }
+      b = static_cast<const detail::Block*>(f.arena_.raw(b))->next;
+    }
+  };
   std::unordered_map<std::string, LnvcId> names;
 
   for (std::uint32_t uid = 0; uid < h.max_lnvcs; ++uid) {
@@ -269,6 +301,7 @@ InvariantReport InvariantOracle::check(const Facility& f, bool quiescent) {
         if (m->nblocks == 0 && m->first_block != shm::kNullOffset) {
           c.fail(Invariant::fifo, id, "empty message with a block chain");
         }
+        expect_taken(m->first_block, n, id, ~ProcessId{0}, "its FIFO");
       }
       if (have_prev_seq && m->seq <= prev_seq) {
         c.fail(Invariant::fifo, id,
@@ -872,6 +905,80 @@ InvariantReport InvariantOracle::check(const Facility& f, bool quiescent) {
                       what + " not in_use but has a waiter or members");
       }
       self->platform_->unlock(ps.lock);
+    }
+  }
+
+  // --- block pool maps ----------------------------------------------------
+  // Each shard's bitmap agrees with its free count, stays inside its range,
+  // and every free block's link names its address successor (the
+  // seam-link invariant); then no magazine or journal chain holds a block
+  // the maps call free.
+  for (std::uint32_t i = 0; i < h.n_shards; ++i) {
+    detail::PoolShard& s = f.shards()[i];
+    const shm::RunAllocator& runs = s.blocks;
+    const std::string what = "shard " + format_u64(i);
+    self->platform_->lock(s.lock);
+    std::uint64_t free_bits = 0;
+    std::uint64_t bad_links = 0;
+    std::uint64_t first_bad = 0;
+    for (std::size_t w = 0; w < runs.words(); ++w) {
+      std::uint64_t bits = runs.word(f.arena_, w);
+      free_bits += static_cast<std::uint64_t>(std::popcount(bits));
+      for (; bits != 0; bits &= bits - 1) {
+        const std::size_t b = w * 64 + static_cast<std::size_t>(
+                                           std::countr_zero(bits));
+        if (b >= runs.capacity()) {
+          c.fail_global(Invariant::conservation,
+                        what + ": free bit " + format_u64(b) +
+                            " outside its " + format_u64(runs.capacity()) +
+                            "-block range");
+          break;
+        }
+        if (*static_cast<const shm::Offset*>(f.arena_.raw(runs.node(b))) !=
+            runs.node(b + 1)) {
+          if (bad_links++ == 0) first_bad = b;
+        }
+      }
+    }
+    if (free_bits != runs.available()) {
+      c.fail_global(Invariant::conservation,
+                    what + ": " + format_u64(free_bits) +
+                        " free bits but available() = " +
+                        format_u64(runs.available()));
+    }
+    if (bad_links != 0) {
+      c.fail_global(Invariant::conservation,
+                    what + ": " + format_u64(bad_links) +
+                        " free blocks whose link does not name their "
+                        "successor (first: block " +
+                        format_u64(first_bad) + ")");
+    }
+    self->platform_->unlock(s.lock);
+  }
+  for (ProcessId p = 0; p < h.max_processes; ++p) {
+    detail::ProcCache& cache = f.caches()[p];
+    self->platform_->lock(cache.lock);
+    expect_taken(cache.block_head,
+                 cache.block_count.load(std::memory_order_relaxed),
+                 kInvalidLnvc, p, "its magazine");
+    self->platform_->unlock(cache.lock);
+    // Journals are exact only at rest or under the simulator (every
+    // record names a walkable chain at each suspension point).
+    const detail::ProcSlot& ps = f.pslot(p);
+    const auto op =
+        static_cast<detail::JournalOp>(ps.op.load(std::memory_order_acquire));
+    if (op == detail::JournalOp::gather ||
+        (op == detail::JournalOp::enqueue && ps.stage == 0)) {
+      expect_taken(ps.chain_head, ps.chain_count, kInvalidLnvc, p,
+                   "its gather/enqueue journal");
+    }
+    if (op == detail::JournalOp::gather) {
+      expect_taken(ps.refill_head, ps.refill_count, kInvalidLnvc, p,
+                   "its refill journal");
+    }
+    if (ps.fm_stage.load(std::memory_order_acquire) == 1 && ps.fm_slab == 0) {
+      expect_taken(ps.fm_head, ps.fm_count, kInvalidLnvc, p,
+                   "its free_message journal");
     }
   }
 

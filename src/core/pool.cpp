@@ -11,6 +11,10 @@
 //   * every process fronts its home shard (pid mod N) with a bounded
 //     magazine (ProcCache) of blocks + headers, refilled and flushed in
 //     batches, so the steady send/receive cycle touches no shared lock;
+//   * each shard's blocks are one carved range under a run allocator
+//     (free bitmap, seam links), so chains come out as a few address-
+//     ordered runs, and every freed stretch goes back to the shard that
+//     carved it (free_chain, the one block-free path);
 //   * a shard that runs dry steals from its siblings, and a starving
 //     sender raids peer magazines, so no block is ever stranded;
 //   * true pool exhaustion keeps the paper's monitor discipline: the
@@ -84,11 +88,13 @@ std::uint32_t Facility::node_of_offset(shm::Offset off) const noexcept {
   for (std::uint32_t nd = 0; nd < header_->numa_nodes; ++nd) {
     if (off >= sp[nd].range_lo && off < sp[nd].range_hi) return nd;
   }
+  return owner_shard(off) & header_->node_mask;
+}
+
+std::uint32_t Facility::owner_shard(shm::Offset block) const noexcept {
   const detail::PoolShard* sh = shards();
   for (std::uint32_t i = 0; i < header_->n_shards; ++i) {
-    if (off >= sh[i].range_lo && off < sh[i].range_hi) {
-      return i & header_->node_mask;
-    }
+    if (sh[i].blocks.contains(block)) return i;
   }
   return 0;
 }
@@ -124,6 +130,14 @@ Chain cache_take_blocks(shm::Arena& arena, detail::ProcCache& c,
     c.block_head = link_of(arena, last);
   }
   return taken;
+}
+
+/// Whether a magazine caches `blocks`-block chains: only chains it can
+/// serve whole at least twice.  Larger ones gain nothing from it (a shard
+/// pop is one critical section either way) and cost their runs: refills
+/// and leftovers would splice magazine fragments into shard runs.
+bool magazine_fits(const detail::ProcCache& c, std::size_t blocks) noexcept {
+  return 2 * blocks <= c.block_cap;
 }
 
 /// Prepend a chain to a magazine (caller holds the cache lock).
@@ -164,28 +178,35 @@ bool Facility::try_gather(ProcessId pid, std::size_t need,
     ps.msg = msg;
   };
 
-  // Phase 1: our own magazine.
+  // Phase 1: our own magazine.  Blocks come from it only when it covers
+  // the whole remaining need, so a leftover never splices a stray run in
+  // front of a shard run (peeked unlocked, re-checked under the lock).
   if (caching && (msg == shm::kNullOffset || chain.count < need)) {
-    alock(cache.lock, pid);
-    if (msg == shm::kNullOffset &&
-        cache.msg_count.load(std::memory_order_relaxed) > 0) {
-      msg = cache.msg_head;
-      cache.msg_head = link_of(arena_, msg);
-      cache.msg_count.fetch_sub(1, std::memory_order_relaxed);
+    const std::size_t want = need - chain.count;
+    const bool fits =
+        want > 0 && cache.block_count.load(std::memory_order_relaxed) >= want;
+    if (fits || (msg == shm::kNullOffset &&
+                 cache.msg_count.load(std::memory_order_relaxed) > 0)) {
+      alock(cache.lock, pid);
+      if (msg == shm::kNullOffset &&
+          cache.msg_count.load(std::memory_order_relaxed) > 0) {
+        msg = cache.msg_head;
+        cache.msg_head = link_of(arena_, msg);
+        cache.msg_count.fetch_sub(1, std::memory_order_relaxed);
+      }
+      if (want > 0 && cache.block_count.load(std::memory_order_relaxed) >= want) {
+        const Chain got = cache_take_blocks(arena_, cache, want);
+        append(arena_, chain, got.head, got.tail, got.count);
+      }
+      mirror();
+      platform_->unlock(cache.lock);
     }
-    if (chain.count < need) {
-      const Chain got = cache_take_blocks(arena_, cache, need - chain.count);
-      append(arena_, chain, got.head, got.tail, got.count);
-    }
-    mirror();
     const bool done = msg != shm::kNullOffset && chain.count >= need;
     if (done) {
       cache.hits.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      cache.misses.fetch_add(1, std::memory_order_relaxed);
+      return true;
     }
-    platform_->unlock(cache.lock);
-    if (done) return true;
+    cache.misses.fetch_add(1, std::memory_order_relaxed);
   }
 
   // Phase 2: the preferred shard — the home shard with its node bits
@@ -193,7 +214,7 @@ bool Facility::try_gather(ProcessId pid, std::size_t need,
   // will read them on.  Grab a magazine refill in the same critical
   // section (only when the preferred shard is the home shard: the
   // magazine holds *our* node's blocks) so the next sends are pure cache
-  // hits.
+  // hits (for chains the magazine caches at all).
   const std::uint32_t home = home_shard(pid);
   const std::uint32_t target = target_node & header_->node_mask;
   const std::uint32_t pref = (home & ~header_->node_mask) | target;
@@ -213,7 +234,7 @@ bool Facility::try_gather(ProcessId pid, std::size_t need,
       append(arena_, chain, head, tail, got);
     }
     if (caching && pref == home && msg != shm::kNullOffset &&
-        chain.count >= need) {
+        chain.count >= need && magazine_fits(cache, need)) {
       // Refill: take up to half the shard's surplus, bounded by the cap.
       const std::uint32_t cached =
           cache.block_count.load(std::memory_order_relaxed);
@@ -361,24 +382,41 @@ bool Facility::try_gather(ProcessId pid, std::size_t need,
   return msg != shm::kNullOffset && chain.count >= need;
 }
 
-/// Give a partial gather back to the home shard so concurrent exhausted
-/// senders cannot deadlock by hoarding fragments.
+/// Give a partial gather back to the pools so concurrent exhausted senders
+/// cannot deadlock by hoarding fragments.  The journal operands are the
+/// cursor: each critical section that returns nodes disarms them too, so
+/// at no suspension point are the nodes both in a pool and journaled.
 void Facility::return_gather(ProcessId pid, shm::Offset& msg, Chain& chain) {
   if (msg == shm::kNullOffset && chain.count == 0) return;
-  detail::PoolShard& hs = shards()[home_shard(pid)];
-  lock_shard(hs, pid);
-  if (chain.count > 0) {
-    hs.blocks.push_chain(arena_, chain.head, chain.tail, chain.count);
-  }
-  if (msg != shm::kNullOffset) hs.msgs.push(arena_, msg);
-  // Disarm the journal operands in the same critical section as the push:
-  // at no suspension point are the nodes both in the pool and journaled.
   detail::ProcSlot& ps = pslot(pid);
-  ps.chain_head = ps.chain_tail = ps.msg = shm::kNullOffset;
-  ps.chain_count = 0;
-  platform_->unlock(hs.lock);
+  free_chain(pid, home_shard(pid), ps.chain_head, ps.chain_count, ps.msg);
+  ps.chain_tail = shm::kNullOffset;
   msg = shm::kNullOffset;
   chain = Chain{};
+}
+
+void Facility::free_chain(ProcessId pid, std::uint32_t home,
+                          shm::Offset& head, std::uint32_t& count,
+                          shm::Offset& msg, bool reaping) {
+  while (count > 0 || msg != shm::kNullOffset) {
+    const std::uint32_t idx = count > 0 ? owner_shard(head) : home;
+    detail::PoolShard& s = shards()[idx];
+    if (!reaping) lock_shard(s, pid);
+    if (count > 0) {
+      shm::Offset next = shm::kNullOffset;
+      const std::size_t n = s.blocks.push_chain(arena_, head, count, next);
+      // A link outside every shard's range (a corrupt record) ends the
+      // walk instead of spinning on it; the oracle reports the loss.
+      count = n == 0 ? 0 : count - static_cast<std::uint32_t>(n);
+      head = count > 0 ? next : shm::kNullOffset;
+      s.flushes.fetch_add(1, std::memory_order_relaxed);
+    }
+    if (count == 0 && msg != shm::kNullOffset) {
+      s.msgs.push(arena_, msg);
+      msg = shm::kNullOffset;
+    }
+    if (!reaping) platform_->unlock(s.lock);
+  }
 }
 
 shm::Offset Facility::slab_alloc(ProcessId pid, std::uint32_t target_node) {
@@ -564,9 +602,9 @@ void Facility::free_message(ProcessId pid, detail::MsgHeader* m) {
   const bool starving =
       header_->exhaustion_waiters.load(std::memory_order_acquire) > 0;
 
-  bool blocks_to_shard = m->nblocks > 0;
-  bool msg_to_shard = true;
-  if (!starving && (cache.block_cap > 0 || cache.msg_cap > 0)) {
+  detail::ProcSlot& ps = pslot(pid);
+  if (!starving && (cache.block_cap > 0 || cache.msg_cap > 0) &&
+      magazine_fits(cache, m->nblocks)) {
     alock(cache.lock, pid);
     if (m->nblocks > 0 &&
         cache.block_count.load(std::memory_order_relaxed) + m->nblocks <=
@@ -574,75 +612,26 @@ void Facility::free_message(ProcessId pid, detail::MsgHeader* m) {
       cache_put_blocks(arena_, cache, m->first_block, m->last_block,
                        m->nblocks);
       journal_free_blocks_done(pid);
-      blocks_to_shard = false;
     }
-    if (!blocks_to_shard || m->nblocks == 0) {
-      if (cache.msg_count.load(std::memory_order_relaxed) < cache.msg_cap) {
-        link_of(arena_, m_off) = cache.msg_head;
-        cache.msg_head = m_off;
-        cache.msg_count.fetch_add(1, std::memory_order_relaxed);
-        journal_free_clear(pid);
-        msg_to_shard = false;
-      }
+    if (ps.fm_count == 0 &&
+        cache.msg_count.load(std::memory_order_relaxed) < cache.msg_cap) {
+      link_of(arena_, m_off) = cache.msg_head;
+      cache.msg_head = m_off;
+      cache.msg_count.fetch_add(1, std::memory_order_relaxed);
+      journal_free_clear(pid);
     }
-    if (blocks_to_shard || msg_to_shard) {
+    if (ps.fm_stage.load(std::memory_order_relaxed) != 0) {
       cache.flushes.fetch_add(1, std::memory_order_relaxed);
     }
     platform_->unlock(cache.lock);
   }
-  const std::uint32_t home = home_shard(pid);
-  if (blocks_to_shard && header_->numa_nodes > 1) {
-    // Flushed blocks return to their *home-node* shards, not the freer's
-    // index-hash shard: a long-running receiver draining remote senders
-    // would otherwise slowly migrate their nodes' blocks to its own.  The
-    // chain is partitioned into same-node runs; each run goes to the home
-    // shard projected onto that node.  The fm record advances inside each
-    // push's critical section, so a death mid-partition leaves it
-    // covering exactly the unpushed remainder.
-    detail::ProcSlot& ps = pslot(pid);
-    shm::Offset run_head = m->first_block;
-    std::uint32_t remaining = m->nblocks;
-    while (remaining > 0 && run_head != shm::kNullOffset) {
-      const std::uint32_t nd = node_of_offset(run_head);
-      shm::Offset run_tail = run_head;
-      std::uint32_t run_count = 1;
-      // Capture each next link before the push below rewrites list words.
-      shm::Offset next = link_of(arena_, run_tail);
-      while (run_count < remaining && next != shm::kNullOffset &&
-             node_of_offset(next) == nd) {
-        run_tail = next;
-        next = link_of(arena_, run_tail);
-        ++run_count;
-      }
-      detail::PoolShard& shard = shards()[(home & ~header_->node_mask) | nd];
-      lock_shard(shard, pid);
-      shard.blocks.push_chain(arena_, run_head, run_tail, run_count);
-      remaining -= run_count;
-      if (remaining == 0) {
-        journal_free_blocks_done(pid);
-      } else {
-        ps.fm_head = next;
-        ps.fm_count = remaining;
-      }
-      shard.flushes.fetch_add(1, std::memory_order_relaxed);
-      platform_->unlock(shard.lock);
-      run_head = next;
-    }
-    blocks_to_shard = false;
-  }
-  if (blocks_to_shard || msg_to_shard) {
-    detail::PoolShard& hs = shards()[home];
-    lock_shard(hs, pid);
-    if (blocks_to_shard) {
-      hs.blocks.push_chain(arena_, m->first_block, m->last_block, m->nblocks);
-      journal_free_blocks_done(pid);
-      hs.flushes.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (msg_to_shard) {
-      hs.msgs.push(arena_, m_off);
-      journal_free_clear(pid);
-    }
-    platform_->unlock(hs.lock);
+  if (ps.fm_stage.load(std::memory_order_relaxed) != 0) {
+    // Blocks go back to the shards that carved them (never the freer's:
+    // a receiver draining remote senders would otherwise migrate their
+    // blocks to its own shard, and a bitmap covers only its own range),
+    // the header with the last of them.  The fm record is the cursor.
+    free_chain(pid, home_shard(pid), ps.fm_head, ps.fm_count, ps.fm_msg);
+    journal_free_clear(pid);
   }
   platform_->on_buffer_free(footprint);
   if (header_->exhaustion_waiters.load(std::memory_order_acquire) > 0) {
@@ -663,6 +652,9 @@ std::vector<PoolShardInfo> Facility::pool_shard_infos() const {
     info.index = i;
     info.free_blocks = s[i].blocks.available();
     info.block_capacity = s[i].blocks.capacity();
+    const shm::RunAllocator::RunStats runs = s[i].blocks.runs(arena_);
+    info.free_runs = runs.runs;
+    info.largest_free_run = runs.largest;
     info.free_msgs = s[i].msgs.available();
     info.lock_acquisitions =
         s[i].lock_acquisitions.load(std::memory_order_relaxed);

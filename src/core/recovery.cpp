@@ -327,7 +327,12 @@ void Facility::repair_lnvc(detail::LnvcDesc& d) {
 
 void Facility::resolve_journal(ProcessId reaper, detail::ProcSlot& ps,
                                ProcessId pid) {
-  detail::PoolShard& home = shards()[home_shard(pid)];
+  // Headers go back to the dead process's home shard, blocks to the
+  // shards that carved them (free_chain); the record's own operands
+  // are the cursor.
+  const std::uint32_t home_idx = home_shard(pid);
+  detail::PoolShard& home = shards()[home_idx];
+  shm::Offset no_msg = shm::kNullOffset;
 
   // Nested free_message record first: its message was already detached
   // from every other structure (including a release_chains cursor, which
@@ -342,12 +347,12 @@ void Facility::resolve_journal(ProcessId reaper, detail::ProcSlot& ps,
         slab_pools()[node_of_offset(ps.fm_head)].slabs.push(arena_,
                                                             ps.fm_head);
       } else if (ps.fm_count > 0) {
-        home.blocks.push_chain(arena_, ps.fm_head, ps.fm_tail, ps.fm_count);
         header_->reclaimed_blocks.fetch_add(ps.fm_count,
                                             std::memory_order_relaxed);
+        free_chain(reaper, home_idx, ps.fm_head, ps.fm_count, no_msg, true);
       }
     }
-    home.msgs.push(arena_, ps.fm_msg);
+    if (ps.fm_msg != shm::kNullOffset) home.msgs.push(arena_, ps.fm_msg);
     ps.fm_stage.store(0, std::memory_order_release);
     ps.fm_msg = ps.fm_head = ps.fm_tail = shm::kNullOffset;
     ps.fm_count = 0;
@@ -362,19 +367,12 @@ void Facility::resolve_journal(ProcessId reaper, detail::ProcSlot& ps,
 
     case detail::JournalOp::gather: {
       // Roll back: every gathered (and refill-parked) node returns to the
-      // dead process's home shard.
-      std::uint64_t blocks = 0;
-      if (ps.chain_count > 0) {
-        home.blocks.push_chain(arena_, ps.chain_head, ps.chain_tail,
-                               ps.chain_count);
-        blocks += ps.chain_count;
-      }
-      if (ps.msg != shm::kNullOffset) home.msgs.push(arena_, ps.msg);
-      if (ps.refill_count > 0) {
-        home.blocks.push_chain(arena_, ps.refill_head, ps.refill_tail,
-                               ps.refill_count);
-        blocks += ps.refill_count;
-      }
+      // pools.
+      const std::uint64_t blocks = ps.chain_count + ps.refill_count;
+      free_chain(reaper, home_idx, ps.chain_head, ps.chain_count, ps.msg,
+                 true);
+      free_chain(reaper, home_idx, ps.refill_head, ps.refill_count, no_msg,
+                 true);
       while (ps.refill_msgs != shm::kNullOffset) {
         const shm::Offset next =
             *static_cast<shm::Offset*>(arena_.raw(ps.refill_msgs));
@@ -420,13 +418,10 @@ void Facility::resolve_journal(ProcessId reaper, detail::ProcSlot& ps,
       if (rollback) {
         // The built message is unreachable to every receiver: its blocks
         // and header roll back.
-        if (ps.chain_count > 0) {
-          home.blocks.push_chain(arena_, ps.chain_head, ps.chain_tail,
-                                 ps.chain_count);
-          header_->reclaimed_blocks.fetch_add(ps.chain_count,
-                                              std::memory_order_relaxed);
-        }
-        home.msgs.push(arena_, ps.msg);
+        header_->reclaimed_blocks.fetch_add(ps.chain_count,
+                                            std::memory_order_relaxed);
+        free_chain(reaper, home_idx, ps.chain_head, ps.chain_count, ps.msg,
+                   true);
       }
       // Stage 1: linked — the message was delivered to the FIFO; the next
       // locker's repair_lnvc() already made the queue well-formed.
@@ -491,12 +486,14 @@ void Facility::resolve_journal(ProcessId reaper, detail::ProcSlot& ps,
         if ((m->flags & detail::MsgHeader::kSlab) != 0) {
           slab_pools()[node_of_offset(m->first_block)].slabs.push(
               arena_, m->first_block);
-        } else if (m->nblocks > 0) {
-          home.blocks.push_chain(arena_, m->first_block, m->last_block,
-                                 m->nblocks);
+          home.msgs.push(arena_, off);
+        } else {
           blocks += m->nblocks;
+          shm::Offset head = m->first_block;
+          std::uint32_t count = m->nblocks;
+          shm::Offset msg = off;
+          free_chain(reaper, home_idx, head, count, msg, true);
         }
-        home.msgs.push(arena_, off);
         off = next;
         ps.msg = next;
       }
@@ -573,9 +570,21 @@ Status Facility::reap(ProcessId reaper, ProcessId pid) {
                                         std::memory_order_acquire)) {
     return Status::ok;  // lost the race; the winner finishes
   }
+  ps.journal_resolved = 0;
+  ps.swept_by.store(reaper + 1, std::memory_order_release);
+  sweep(reaper, pid);
+  return Status::ok;
+}
 
-  // 1. Roll the half-done operation forward or back.
-  resolve_journal(reaper, ps, pid);
+void Facility::sweep(ProcessId reaper, ProcessId pid) {
+  detail::ProcSlot& ps = pslot(pid);
+  // 1. Roll the half-done operation forward or back (once: a resumed
+  //    sweep skips it).  Every later step re-runs safely: each one's
+  //    effect and its progress land in the same critical section.
+  if (ps.journal_resolved == 0) {
+    resolve_journal(reaper, ps, pid);
+    ps.journal_resolved = 1;
+  }
 
   // 1b. Drop the dead process's held message views: each holds one pin
   //     (plus a BROADCAST claim) on a message its circuit still owns — or,
@@ -723,28 +732,27 @@ Status Facility::reap(ProcessId reaper, ProcessId pid) {
     }
   }
 
-  // 3. Return the dead process's magazine to its home shard.
+  // 3. Return the dead process's magazine to the pools, inside the
+  //    magazine's critical section (the reaper's pushes take no platform
+  //    lock), so the magazine is never empty while its nodes are in hand.
   detail::ProcCache& cache = caches()[pid];
   alock(cache.lock, reaper);
   shm::Offset bh = cache.block_head;
-  shm::Offset bt = cache.block_tail;
-  const std::uint32_t bn = cache.block_count.load(std::memory_order_relaxed);
+  std::uint32_t bn = cache.block_count.load(std::memory_order_relaxed);
+  header_->reclaimed_blocks.fetch_add(bn, std::memory_order_relaxed);
+  shm::Offset no_msg = shm::kNullOffset;
+  free_chain(reaper, home_shard(pid), bh, bn, no_msg, true);
   cache.block_head = cache.block_tail = shm::kNullOffset;
   cache.block_count.store(0, std::memory_order_relaxed);
-  shm::Offset mh = cache.msg_head;
-  cache.msg_head = shm::kNullOffset;
-  cache.msg_count.store(0, std::memory_order_relaxed);
-  platform_->unlock(cache.lock);
   detail::PoolShard& home = shards()[home_shard(pid)];
-  if (bn > 0) {
-    home.blocks.push_chain(arena_, bh, bt, bn);
-    header_->reclaimed_blocks.fetch_add(bn, std::memory_order_relaxed);
-  }
-  while (mh != shm::kNullOffset) {
+  for (shm::Offset mh = cache.msg_head; mh != shm::kNullOffset;) {
     const shm::Offset next = *static_cast<shm::Offset*>(arena_.raw(mh));
     home.msgs.push(arena_, mh);
     mh = next;
   }
+  cache.msg_head = shm::kNullOffset;
+  cache.msg_count.store(0, std::memory_order_relaxed);
+  platform_->unlock(cache.lock);
 
   // 4. Repair monitor membership the death leaked, then wake everyone who
   //    might have been waiting on the dead process.  Its receive_any set
@@ -796,7 +804,16 @@ Status Facility::reap(ProcessId reaper, ProcessId pid) {
   platform_->notify_all(header_->blocks_cond);
 
   header_->reaps.fetch_add(1, std::memory_order_relaxed);
-  return Status::ok;
+  ps.swept_by.store(0, std::memory_order_release);
+  // Sweeps this process was running when it died: nobody else resumes
+  // them, since their victims are already claimed.
+  for (ProcessId q = 0; q < header_->max_processes; ++q) {
+    std::uint32_t by = pid + 1;
+    if (q != pid && pslot(q).swept_by.compare_exchange_strong(
+                        by, reaper + 1, std::memory_order_acq_rel)) {
+      sweep(reaper, q);
+    }
+  }
 }
 
 void Facility::reap_if_dead(ProcessId reaper, ProcessId dead) {
@@ -1138,7 +1155,10 @@ void Facility::journal_free_arm(ProcessId pid, shm::Offset msg,
 }
 
 void Facility::journal_free_blocks_done(ProcessId pid) {
-  pslot(pid).fm_stage.store(2, std::memory_order_release);
+  detail::ProcSlot& ps = pslot(pid);
+  ps.fm_head = ps.fm_tail = shm::kNullOffset;
+  ps.fm_count = 0;
+  ps.fm_stage.store(2, std::memory_order_release);
 }
 
 void Facility::journal_free_clear(ProcessId pid) {

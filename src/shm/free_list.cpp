@@ -6,22 +6,19 @@ namespace mpf::shm {
 
 void FreeList::carve(Arena& arena, std::size_t node_bytes, std::size_t count) {
   if (node_bytes < kMinNodeBytes) {
-    throw std::invalid_argument(
-        "FreeList: node too small for link word + segment metadata");
+    throw std::invalid_argument("FreeList: node below the 32-byte floor");
   }
   node_bytes_ = node_bytes;
   capacity_ = count;
   if (count == 0) return;
   // Allocate one contiguous slab; nodes are 8-aligned so the link word is
-  // naturally aligned.  The whole slab forms a single segment.
+  // naturally aligned.
   const std::size_t stride = (node_bytes + 7) & ~std::size_t{7};
   const Offset slab = arena.allocate(stride * count, 64);
   for (std::size_t i = 0; i + 1 < count; ++i) {
     link_of(arena, slab + i * stride) = slab + (i + 1) * stride;
   }
-  const Offset tail = slab + (count - 1) * stride;
-  link_of(arena, tail) = kNullOffset;
-  meta_of(arena, slab) = SegMeta{kNullOffset, count, tail};
+  link_of(arena, slab + (count - 1) * stride) = kNullOffset;
   head_ = slab;
   count_.store(count, std::memory_order_release);
 }
@@ -30,14 +27,7 @@ Offset FreeList::pop(Arena& arena) noexcept {
   lock_.lock();
   const Offset node = head_;
   if (node != kNullOffset) {
-    const SegMeta meta = meta_of(arena, node);
-    if (meta.count == 1) {
-      head_ = meta.next_seg;
-    } else {
-      const Offset next = link_of(arena, node);
-      meta_of(arena, next) = SegMeta{meta.next_seg, meta.count - 1, meta.tail};
-      head_ = next;
-    }
+    head_ = link_of(arena, node);
     count_.fetch_sub(1, std::memory_order_relaxed);
   }
   lock_.unlock();
@@ -46,66 +36,9 @@ Offset FreeList::pop(Arena& arena) noexcept {
 
 void FreeList::push(Arena& arena, Offset node) noexcept {
   lock_.lock();
-  link_of(arena, node) = kNullOffset;
-  meta_of(arena, node) = SegMeta{head_, 1, node};
+  link_of(arena, node) = head_;
   head_ = node;
   count_.fetch_add(1, std::memory_order_relaxed);
-  lock_.unlock();
-}
-
-Offset FreeList::pop_chain(Arena& arena, std::size_t want, std::size_t& got,
-                           Offset* tail) noexcept {
-  got = 0;
-  if (tail != nullptr) *tail = kNullOffset;
-  if (want == 0) return kNullOffset;
-  lock_.lock();
-  Offset chain_head = kNullOffset;
-  Offset chain_tail = kNullOffset;
-  while (got < want && head_ != kNullOffset) {
-    const Offset seg = head_;
-    const SegMeta meta = meta_of(arena, seg);
-    const std::size_t remaining = want - got;
-    Offset taken_tail;
-    if (meta.count <= remaining) {
-      // Whole segment: O(1) transfer.
-      head_ = meta.next_seg;
-      taken_tail = meta.tail;
-      got += meta.count;
-    } else {
-      // Split: walk off the first `remaining` nodes; the rest stays a
-      // segment with its count and tail intact.
-      Offset last = seg;
-      for (std::size_t i = 1; i < remaining; ++i) last = link_of(arena, last);
-      const Offset rest = link_of(arena, last);
-      meta_of(arena, rest) =
-          SegMeta{meta.next_seg, meta.count - remaining, meta.tail};
-      head_ = rest;
-      taken_tail = last;
-      got += remaining;
-    }
-    if (chain_tail == kNullOffset) {
-      chain_head = seg;
-    } else {
-      link_of(arena, chain_tail) = seg;
-    }
-    chain_tail = taken_tail;
-  }
-  if (got > 0) {
-    link_of(arena, chain_tail) = kNullOffset;  // terminate handed-out chain
-    count_.fetch_sub(got, std::memory_order_relaxed);
-  }
-  lock_.unlock();
-  if (tail != nullptr) *tail = chain_tail;
-  return chain_head;
-}
-
-void FreeList::push_chain(Arena& arena, Offset head, Offset tail,
-                          std::size_t count) noexcept {
-  if (count == 0 || head == kNullOffset) return;
-  lock_.lock();
-  meta_of(arena, head) = SegMeta{head_, count, tail};
-  head_ = head;
-  count_.fetch_add(count, std::memory_order_relaxed);
   lock_.unlock();
 }
 

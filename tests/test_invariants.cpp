@@ -171,6 +171,36 @@ TEST_F(InvariantsTest, BlockCountCorruptionBreaksConservation) {
   m->nblocks = saved;
 }
 
+TEST_F(InvariantsTest, ShardMapCorruptionBreaksConservation) {
+  const LnvcId id = open_pair("conv");
+  send_bytes(id, 35);  // 4 blocks from process 0's home shard
+  shm::Arena& arena = InvariantOracle::arena(f);
+  shm::RunAllocator& runs = InvariantOracle::shard(f, 0).blocks;
+  // The last block of the range is free; point its link elsewhere.
+  const std::size_t last = runs.capacity() - 1;
+  ASSERT_TRUE(runs.is_free(arena, last));
+  auto* link = static_cast<shm::Offset*>(arena.raw(runs.node(last)));
+  *link = runs.node(0);
+  InvariantReport rep = InvariantOracle::check(f, /*quiescent=*/false);
+  EXPECT_TRUE(reported(rep, Invariant::conservation,
+                       "link does not name their successor"))
+      << rep.summary();
+  *link = runs.node(last + 1);
+  ASSERT_TRUE(InvariantOracle::check(f, /*quiescent=*/false).ok());
+  // A queued message's first block handed back to the map behind the
+  // FIFO's back: free and reachable at once.
+  detail::MsgHeader* m =
+      InvariantOracle::msg_at(f, InvariantOracle::lnvc(f, id).msg_head.off);
+  ASSERT_NE(m, nullptr);
+  ASSERT_TRUE(runs.contains(m->first_block));
+  shm::Offset next = shm::kNullOffset;
+  ASSERT_EQ(runs.push_chain(arena, m->first_block, 1, next), 1u);
+  rep = InvariantOracle::check(f, /*quiescent=*/false);
+  EXPECT_TRUE(reported(rep, Invariant::conservation,
+                       "is free but reachable from its FIFO"))
+      << rep.summary();
+}
+
 TEST_F(InvariantsTest, WatchCorruptionIsWatchesViolation) {
   // A receive_any poll arms one watch per listed circuit; the oracle then
   // holds the armed count to the connections and, at rest, every watched

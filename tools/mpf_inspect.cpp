@@ -63,17 +63,19 @@ void dump(const mpf::Facility& facility) {
       static_cast<unsigned long long>(stats.peer_failures),
       static_cast<unsigned long long>(stats.orphaned_receives));
 
-  std::printf("%5s %10s %8s %12s %10s %8s %8s %8s\n", "shard", "blk_free",
-              "msg_free", "lock_acq", "wait_us", "steals", "refills",
-              "flushes");
+  std::printf("%5s %10s %6s %8s %8s %12s %10s %8s %8s %8s\n", "shard",
+              "blk_free", "runs", "max_run", "msg_free", "lock_acq",
+              "wait_us", "steals", "refills", "flushes");
   for (const auto& s : facility.pool_shard_infos()) {
-    std::printf("%5u %6zu/%-3zu %8zu %12llu %10.1f %8llu %8llu %8llu\n",
-                s.index, s.free_blocks, s.block_capacity, s.free_msgs,
-                static_cast<unsigned long long>(s.lock_acquisitions),
-                static_cast<double>(s.lock_wait_ns) * 1e-3,
-                static_cast<unsigned long long>(s.steals),
-                static_cast<unsigned long long>(s.refills),
-                static_cast<unsigned long long>(s.flushes));
+    std::printf(
+        "%5u %6zu/%-3zu %6zu %8zu %8zu %12llu %10.1f %8llu %8llu %8llu\n",
+        s.index, s.free_blocks, s.block_capacity, s.free_runs,
+        s.largest_free_run, s.free_msgs,
+        static_cast<unsigned long long>(s.lock_acquisitions),
+        static_cast<double>(s.lock_wait_ns) * 1e-3,
+        static_cast<unsigned long long>(s.steals),
+        static_cast<unsigned long long>(s.refills),
+        static_cast<unsigned long long>(s.flushes));
   }
   const auto caches = facility.proc_cache_infos();
   if (!caches.empty()) {
