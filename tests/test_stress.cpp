@@ -81,19 +81,51 @@ TEST(Stress, OpenCloseChurnAcrossThreads) {
   EXPECT_EQ(f.stats().blocks_free, c.resolved().message_blocks);
 }
 
-TEST(Stress, SustainedPipelineSoak) {
-  // A long-running pipeline: producer -> 2 relays -> consumer, tens of
-  // thousands of messages through a deliberately small block pool so
-  // recycling and the wait policy are exercised constantly.
+// The soak's pipeline: producer -> 2 relays -> consumer over stage1..3,
+// one deliberately small pool of 128 blocks and 32 headers, and 40-byte
+// messages of 4 blocks each.
+constexpr std::size_t kPipelineMsg = 40;
+constexpr std::uint32_t kPipelineQuota = 60;
+
+Config pipeline_config(std::uint32_t quota_blocks) {
   Config c;
   c.max_lnvcs = 8;
   c.max_processes = 8;
   c.block_payload = 10;
   c.message_blocks = 128;
   c.message_headers = 32;
+  c.lnvc_quota_blocks = quota_blocks;
+  return c;
+}
+
+TEST(Stress, SustainedPipelineSoak) {
+  // A long-running pipeline: tens of thousands of messages through the
+  // small pool so recycling and both wait paths (quota park and pool
+  // exhaustion) are exercised constantly.
+  //
+  // The paper's flow control is the pool alone (DESIGN.md §11), and with
+  // no per-circuit limit this pipeline can wedge: the upstream backlog
+  // takes the whole pool while a relay blocks forwarding into the next
+  // stage (PipelineWedgeNeedsQuota replays it).  So the test states its own
+  // flow control, a quota of 60 blocks per circuit.  In a wedge the
+  // circuit just downstream of the most-downstream blocked sender is
+  // empty (its receiver is blocked in receive), so only the other two
+  // circuits hold pool blocks: at most 2 x 60 = 120 blocks and 30
+  // headers, which leaves room for one more message.  No wedge is
+  // reachable.  Because 3 x 60 > 128 the pool still runs dry, so the
+  // exhaustion wait keeps running alongside the quota parks.
+  const Config c = pipeline_config(kPipelineQuota);
   shm::HeapRegion region(c.derived_arena_bytes());
   Facility f = Facility::create(c, region);
   constexpr int kMsgs = 20'000;
+  // Every wait has a deadline far beyond any healthy stall, so a wedge
+  // fails in seconds and names who was stuck where, instead of hanging
+  // until the ctest timeout.
+  constexpr std::uint64_t kDeadlineNs = 30'000'000'000;
+  const auto at = [](int rank, const char* op, int i, Status s) {
+    return "rank " + std::to_string(rank) + " " + op + " of message " +
+           std::to_string(i) + ": " + to_string(s);
+  };
 
   rt::run_group(rt::Backend::thread, 4, [&](int rank) {
     const auto pid = static_cast<ProcessId>(rank);
@@ -105,7 +137,9 @@ TEST(Stress, SustainedPipelineSoak) {
         ASSERT_EQ(f.open_send(pid, "stage1", &tx), Status::ok);
         for (int i = 0; i < kMsgs; ++i) {
           std::memcpy(buf, &i, sizeof(i));
-          ASSERT_EQ(f.send(pid, tx, buf, 40), Status::ok);
+          const Status s =
+              f.send_timed(pid, tx, buf, kPipelineMsg, kDeadlineNs);
+          ASSERT_EQ(s, Status::ok) << at(rank, "send", i, s);
         }
         ASSERT_EQ(f.close_send(pid, tx), Status::ok);
         break;
@@ -118,8 +152,11 @@ TEST(Stress, SustainedPipelineSoak) {
         ASSERT_EQ(f.open_receive(pid, in, Protocol::fcfs, &rx), Status::ok);
         ASSERT_EQ(f.open_send(pid, out, &tx), Status::ok);
         for (int i = 0; i < kMsgs; ++i) {
-          ASSERT_EQ(f.receive(pid, rx, buf, sizeof(buf), &len), Status::ok);
-          ASSERT_EQ(f.send(pid, tx, buf, len), Status::ok);
+          Status s =
+              f.receive_for(pid, rx, buf, sizeof(buf), &len, kDeadlineNs);
+          ASSERT_EQ(s, Status::ok) << at(rank, "receive", i, s);
+          s = f.send_timed(pid, tx, buf, len, kDeadlineNs);
+          ASSERT_EQ(s, Status::ok) << at(rank, "send", i, s);
         }
         ASSERT_EQ(f.close_receive(pid, rx), Status::ok);
         ASSERT_EQ(f.close_send(pid, tx), Status::ok);
@@ -130,7 +167,9 @@ TEST(Stress, SustainedPipelineSoak) {
         ASSERT_EQ(f.open_receive(pid, "stage3", Protocol::fcfs, &rx),
                   Status::ok);
         for (int i = 0; i < kMsgs; ++i) {
-          ASSERT_EQ(f.receive(pid, rx, buf, sizeof(buf), &len), Status::ok);
+          const Status s =
+              f.receive_for(pid, rx, buf, sizeof(buf), &len, kDeadlineNs);
+          ASSERT_EQ(s, Status::ok) << at(rank, "receive", i, s);
           int v = -1;
           std::memcpy(&v, buf, sizeof(v));
           ASSERT_EQ(v, i) << "pipeline reordered or corrupted";
@@ -142,6 +181,64 @@ TEST(Stress, SustainedPipelineSoak) {
   });
   EXPECT_EQ(f.stats().blocks_free, c.message_blocks);
   EXPECT_EQ(f.stats().sends, 3u * kMsgs);
+}
+
+// Single-thread replay of the soak's wedge, one pid per pipeline rank.
+// Fill stage1 until a send would wait, let relay 1 receive one message,
+// let the producer take the blocks that freed, then poll relay 1's send
+// into stage2.  Reports how many messages the fill admitted, the relay's
+// send status and the blocks left free.
+struct WedgeReplay {
+  int filled = 0;
+  Status relay_send = Status::ok;
+  std::size_t blocks_free = 0;
+};
+
+void replay_wedge(std::uint32_t quota_blocks, WedgeReplay* out) {
+  const Config c = pipeline_config(quota_blocks);
+  shm::HeapRegion region(c.derived_arena_bytes());
+  Facility f = Facility::create(c, region);
+  LnvcId stage1_tx, stage1_rx, stage2_tx, stage2_rx;
+  ASSERT_EQ(f.open_send(0, "stage1", &stage1_tx), Status::ok);
+  ASSERT_EQ(f.open_receive(1, "stage1", Protocol::fcfs, &stage1_rx),
+            Status::ok);
+  ASSERT_EQ(f.open_send(1, "stage2", &stage2_tx), Status::ok);
+  ASSERT_EQ(f.open_receive(2, "stage2", Protocol::fcfs, &stage2_rx),
+            Status::ok);
+
+  char buf[64] = {};
+  Status s;
+  while ((s = f.send_timed(0, stage1_tx, buf, kPipelineMsg, 0)) == Status::ok) {
+    ++out->filled;
+  }
+  ASSERT_EQ(s, Status::timed_out) << to_string(s);
+
+  std::size_t len = 0;
+  bool ready = false;
+  ASSERT_EQ(f.try_receive(1, stage1_rx, buf, sizeof(buf), &len, &ready),
+            Status::ok);
+  ASSERT_TRUE(ready);
+  ASSERT_EQ(f.send_timed(0, stage1_tx, buf, kPipelineMsg, 0), Status::ok);
+  out->relay_send = f.send_timed(1, stage2_tx, buf, len, 0);
+  out->blocks_free = f.stats().blocks_free;
+}
+
+TEST(Stress, PipelineWedgeNeedsQuota) {
+  // No quota: stage1 takes the whole pool (32 messages x 4 blocks, every
+  // header), and relay 1 can never forward what it received; the
+  // producer blocked behind it waits on relay 1 in turn.
+  WedgeReplay bare;
+  ASSERT_NO_FATAL_FAILURE(replay_wedge(0, &bare));
+  EXPECT_EQ(bare.filled, 32);
+  EXPECT_EQ(bare.relay_send, Status::timed_out) << to_string(bare.relay_send);
+  EXPECT_EQ(bare.blocks_free, 0u);
+
+  // The soak's quota: stage1 stops at 60 blocks, and the relay's send
+  // finds room in the pool.
+  WedgeReplay quota;
+  ASSERT_NO_FATAL_FAILURE(replay_wedge(kPipelineQuota, &quota));
+  EXPECT_EQ(quota.filled, 15);
+  EXPECT_EQ(quota.relay_send, Status::ok) << to_string(quota.relay_send);
 }
 
 TEST(Stress, BroadcastFanOutSoak) {
