@@ -127,7 +127,7 @@ RunResult run_overload(double x, bool quota, bool hot_active,
       while (platform.now_ns() < kEndNs) {
         const std::uint64_t stamp = platform.now_ns();
         std::memcpy(buf, &stamp, sizeof stamp);
-        const Status s = f.send_timed(pid, id, buf, kLen, kDeadlineNs);
+        const Status s = f.send(pid, id, buf, kLen, kDeadlineNs);
         if (s == Status::timed_out) ++wb_timeouts[rank];
         simulator.advance(static_cast<double>(kWbGapNs));
       }
@@ -141,7 +141,7 @@ RunResult run_overload(double x, bool quota, bool hot_active,
       }
       for (;;) {
         std::size_t len = 0;
-        const Status s = f.receive_for(pid, id, buf, kLen, &len, kPollNs);
+        const Status s = f.receive(pid, id, buf, kLen, &len, kPollNs);
         if (s == Status::ok || s == Status::truncated) {
           std::uint64_t stamp = 0;
           std::memcpy(&stamp, buf, sizeof stamp);
@@ -158,7 +158,7 @@ RunResult run_overload(double x, bool quota, bool hot_active,
       LnvcId id;
       if (f.open_send(pid, "hot", &id) != Status::ok) return;
       while (platform.now_ns() < kEndNs) {
-        const Status s = f.send_timed(pid, id, buf, kLen, kDeadlineNs);
+        const Status s = f.send(pid, id, buf, kLen, kDeadlineNs);
         if (s == Status::timed_out) ++hot_timeouts[rank - 2 * kWbPairs];
         simulator.advance(static_cast<double>(kHotGapNs));
       }
@@ -171,7 +171,7 @@ RunResult run_overload(double x, bool quota, bool hot_active,
       }
       for (;;) {
         std::size_t len = 0;
-        const Status s = f.receive_for(pid, id, buf, kLen, &len, kPollNs);
+        const Status s = f.receive(pid, id, buf, kLen, &len, kPollNs);
         if (s == Status::ok || s == Status::truncated) {
           simulator.advance(static_cast<double>(hot_service_ns));
           continue;

@@ -44,11 +44,11 @@ enum FuzzOp : std::uint32_t {
   kFuzzCloseRecv,
   kFuzzSend,       ///< untimed send (only when the case can never block)
   kFuzzSendv,      ///< scatter-gather, deadline-bounded
-  kFuzzSendTimed,  ///< send_timed, deadline-bounded (0 = poll)
-  kFuzzTryRecv,
-  kFuzzRecvFor,
-  kFuzzRecvView,  ///< try_receive_view; may hold the view across ops
-  kFuzzRecvAny,   ///< receive_any_for over every held receive connection
+  kFuzzSendTimed,  ///< send with a timeout (0 = poll)
+  kFuzzTryRecv,    ///< receive polling (timeout 0)
+  kFuzzRecvFor,    ///< receive with a timeout (0 = poll)
+  kFuzzRecvView,  ///< receive_view polling; may hold the view across ops
+  kFuzzRecvAny,   ///< timed receive_any over every held receive connection
   kFuzzReleaseView,
   kFuzzCheck,
   kFuzzSetAdmission,  ///< random quota + policy flip

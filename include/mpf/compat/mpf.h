@@ -64,10 +64,16 @@ int mpf_close_send(int process_id, int lnvc_id);
 int mpf_close_receive(int process_id, int lnvc_id);
 int mpf_message_send(int process_id, int lnvc_id, const char* send_buffer,
                      int buffer_length);
-/* Send with a deadline.  When the LNVC's admission quota (or the buffer
- * pool) keeps the message out for timeout_ns nanoseconds, returns
- * MPF_ETIMEDOUT; under a fail-fast admission policy an over-quota send
- * returns MPF_EAGAIN immediately.  timeout_ns = 0 polls. */
+/* Every timeout_ns below follows one rule: MPF_NO_TIMEOUT waits forever,
+ * 0 polls (acts on what is ready now, else MPF_ETIMEDOUT without
+ * sleeping), and any other value gives up with MPF_ETIMEDOUT after that
+ * many nanoseconds. */
+#define MPF_NO_TIMEOUT (~0ULL)
+
+/* Send with a timeout.  When the LNVC's admission quota (or the buffer
+ * pool) keeps the message out for timeout_ns, returns MPF_ETIMEDOUT;
+ * under a fail-fast admission policy an over-quota send returns
+ * MPF_EAGAIN immediately. */
 int mpf_message_send_timed(int process_id, int lnvc_id,
                            const char* send_buffer, int buffer_length,
                            unsigned long long timeout_ns);
@@ -119,9 +125,6 @@ int mpf_view_release(int process_id, mpf_view* view);
  * waiter (MPF_EBUSY otherwise).  A poll set whose owner dies is destroyed
  * by mpf_reap. */
 
-/* Wait-forever sentinel for mpf_pollset_wait. */
-#define MPF_NO_TIMEOUT (~0ULL)
-
 /* Create an empty poll set owned by process_id; returns its id (>= 0) or
  * a negative error code. */
 int mpf_pollset_create(int process_id);
@@ -132,8 +135,7 @@ int mpf_pollset_add(int process_id, int pollset_id, int lnvc_id);
 int mpf_pollset_remove(int process_id, int pollset_id, int lnvc_id);
 /* Wait for a member circuit to become ready (deliverable message or
  * pending pulse); returns its LNVC id (>= 0), MPF_ETIMEDOUT when nothing
- * became ready within timeout_ns (0 polls; MPF_NO_TIMEOUT waits forever),
- * or a negative error code. */
+ * became ready within timeout_ns, or a negative error code. */
 int mpf_pollset_wait(int process_id, int pollset_id,
                      unsigned long long timeout_ns);
 

@@ -50,9 +50,9 @@ class Channel {
   bool send(std::span<const std::byte> payload);
   /// Send that gives up once `timeout_ns` of platform time passes without
   /// room in the ring (Status::timed_out; virtual time under the
-  /// simulator, wall time natively).  timeout_ns == 0 polls: a full ring
-  /// fails immediately.  Oversized messages are invalid_argument, as for
-  /// send().
+  /// simulator, wall time natively).  The facility's timeout contract:
+  /// 0 polls (a full ring fails immediately), kNoTimeout waits forever.
+  /// Oversized messages are invalid_argument, as for send().
   Status send_for(std::span<const std::byte> payload,
                   std::uint64_t timeout_ns);
   /// Blocking receive of one message; returns bytes copied.  A short
@@ -81,8 +81,8 @@ class Channel {
   }
   void write_wrapped(std::uint64_t pos, const void* src, std::size_t len);
   void read_wrapped(std::uint64_t pos, void* dst, std::size_t len) const;
-  /// Shared body of send / send_for: one room-wait loop, deadline-bounded
-  /// unless timeout_ns is the no-deadline sentinel (~0).
+  /// Shared body of send / send_for: one room-wait loop, bounded unless
+  /// timeout_ns is kNoTimeout.
   Status send_impl(std::span<const std::byte> payload,
                    std::uint64_t timeout_ns);
 

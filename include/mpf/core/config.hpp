@@ -18,8 +18,8 @@ enum class BlockPolicy : std::uint32_t {
 
 /// What message_send() does when the LNVC's quota would be exceeded.
 enum class AdmissionPolicy : std::uint32_t {
-  block,        ///< park the sender (FIFO) until quota frees; send_timed
-                ///  bounds the park by its deadline (default)
+  block,        ///< park the sender (FIFO) until quota frees; the send's
+                ///  timeout bounds the park (default)
   shed_newest,  ///< drop the incoming (newest) message, report Status::ok;
                 ///  counted in FacilityStats::sends_shed
   fail_fast,    ///< return Status::rejected immediately

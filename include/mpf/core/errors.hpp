@@ -5,6 +5,7 @@
 // (ports.hpp) converts non-ok statuses into MpfError exceptions.
 #pragma once
 
+#include <iosfwd>
 #include <stdexcept>
 #include <string>
 
@@ -21,7 +22,7 @@ enum class Status : int {
   out_of_blocks,      ///< free list empty and policy is fail-fast
   truncated,          ///< receive buffer smaller than the message
   closed,             ///< LNVC deleted while blocked on it
-  timed_out,          ///< receive_for deadline expired
+  timed_out,          ///< a wait's timeout expired (or a poll found nothing)
   peer_failed,        ///< blocked op abandoned: the peer(s) it needed died
   lnvc_orphaned,      ///< receive on a circuit whose last sender died
   rejected,           ///< send refused by admission control (quota exceeded)
@@ -30,6 +31,9 @@ enum class Status : int {
 
 /// Human-readable name of a status code.
 [[nodiscard]] const char* to_string(Status s) noexcept;
+/// Streams the enumerator's own name ("timed_out"), so assertion failures
+/// (gtest prints through this) read as the code that compared unequal.
+std::ostream& operator<<(std::ostream& os, Status s);
 
 /// Exception carrying a Status; thrown by the C++ RAII layer only.
 class MpfError : public std::runtime_error {

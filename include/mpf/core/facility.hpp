@@ -303,23 +303,35 @@ class Facility {
   Status close_receive(ProcessId pid, LnvcId id);
 
   // --- message transfer ---------------------------------------------------
-  /// Asynchronous send of `len` bytes from `data` (paper: message_send).
-  Status send(ProcessId pid, LnvcId id, const void* data, std::size_t len);
+  // One call per transfer, one wait contract (platform.hpp): every call
+  // that can wait takes a trailing `timeout_ns` — kNoTimeout (the default)
+  // waits forever, 0 polls (delivers what is ready now, else
+  // Status::timed_out, never sleeping), anything else gives up with
+  // Status::timed_out once that much time passed (virtual time under the
+  // simulator).  The timeout becomes an absolute deadline once, on entry.
+  // A receive of either kind on an idle circuit whose last sender died
+  // reports Status::lnvc_orphaned rather than waiting or timing out — a
+  // poll included (it used to report "nothing ready" there).
+
+  /// Wait-forever timeout (the default of every timed call).
+  static constexpr std::uint64_t kNoTimeout = mpf::kNoTimeout;
+
+  /// Send `len` bytes from `data` (paper: message_send).  Asynchronous: it
+  /// waits only while admission control parks it (quota,
+  /// AdmissionPolicy::block) or the pool is exhausted (BlockPolicy::wait),
+  /// and the timeout bounds those waits; a send that never waits is
+  /// unaffected by it.
+  Status send(ProcessId pid, LnvcId id, const void* data, std::size_t len,
+              std::uint64_t timeout_ns = kNoTimeout);
   /// Scatter-gather send: the spans in `iov` are concatenated into one
   /// message (same semantics as send of the concatenation).
-  Status send_v(ProcessId pid, LnvcId id, std::span<const ConstBuffer> iov);
-  /// Send with a deadline: if admission control parks the sender (quota,
-  /// AdmissionPolicy::block) or the pool is exhausted (BlockPolicy::wait),
-  /// give up after `timeout_ns` (virtual time under the simulator) with
-  /// Status::timed_out.  timeout_ns == 0 is a poll: any send that would
-  /// have to wait fails immediately.  A send that never needs to wait is
-  /// identical to send().
-  Status send_timed(ProcessId pid, LnvcId id, const void* data,
-                    std::size_t len, std::uint64_t timeout_ns);
-  /// Scatter-gather variant of send_timed.
-  Status sendv_timed(ProcessId pid, LnvcId id,
-                     std::span<const ConstBuffer> iov,
-                     std::uint64_t timeout_ns);
+  Status send_v(ProcessId pid, LnvcId id, std::span<const ConstBuffer> iov,
+                std::uint64_t timeout_ns = kNoTimeout);
+  /// Receive into `buf` (capacity `cap`); the delivered length is written
+  /// to `*out_len`.  Returns Status::truncated (after copying the prefix)
+  /// when the message exceeds `cap`.
+  Status receive(ProcessId pid, LnvcId id, void* buf, std::size_t cap,
+                 std::size_t* out_len, std::uint64_t timeout_ns = kNoTimeout);
   /// Zero-copy receive: claim the next message exactly as receive() would,
   /// but pin it in place and return arena-relative spans instead of
   /// copying out.  The message (and its blocks) stays unreclaimable until
@@ -328,10 +340,8 @@ class Facility {
   /// are offsets: valid in any process mapping the region at any base
   /// address — materialize them with resolve() / materialize() against
   /// the local mapping before dereferencing.
-  Status receive_view(ProcessId pid, LnvcId id, MsgView* out);
-  /// Non-blocking variant: *out_ready=false when no message is available.
-  Status try_receive_view(ProcessId pid, LnvcId id, MsgView* out,
-                          bool* out_ready);
+  Status receive_view(ProcessId pid, LnvcId id, MsgView* out,
+                      std::uint64_t timeout_ns = kNoTimeout);
   /// Unpin a view taken by receive_view.  Safe after close_receive and
   /// after the LNVC died: a detached message is freed by its last pinner.
   /// A stale handle (double release, or released after the slot was
@@ -347,45 +357,26 @@ class Facility {
   /// copied.  Resolves per fragment, so it is correct in any mapping.
   std::size_t copy_view(const MsgView& view, void* dst,
                         std::size_t cap) const;
-  /// Blocking receive into `buf` (capacity `cap`); the delivered length is
-  /// written to `*out_len`.  Returns Status::truncated (after copying the
-  /// prefix) when the message exceeds `cap`.
-  Status receive(ProcessId pid, LnvcId id, void* buf, std::size_t cap,
-                 std::size_t* out_len);
-  /// Non-blocking variant: Status::ok with *out_len, or no message =>
-  /// *out_ready=false.  Used by the fully-connected random benchmark.
-  Status try_receive(ProcessId pid, LnvcId id, void* buf, std::size_t cap,
-                     std::size_t* out_len, bool* out_ready);
-  /// Blocking receive with a deadline: Status::timed_out if no message
-  /// arrives within `timeout_ns` (virtual time under the simulator).
-  Status receive_for(ProcessId pid, LnvcId id, void* buf, std::size_t cap,
-                     std::size_t* out_len, std::uint64_t timeout_ns);
   /// Paper's check_receive: *out=true if a message appears available.
   /// Advisory only for FCFS receivers (another receiver may win it).
   Status check(ProcessId pid, LnvcId id, bool* out);
-  /// Blocking receive from whichever of `ids` delivers first; the index
-  /// of the winning LNVC within `ids` is written to *out_index.  `pid`
-  /// must hold a receive connection on every listed LNVC.
+  /// Receive from whichever of `ids` delivers first; the index of the
+  /// winning LNVC within `ids` is written to *out_index.  `pid` must hold
+  /// a receive connection on every listed LNVC.
   ///
   /// The first call over a list arms a watch on each listed connection
   /// (one descriptor lock each); later calls lock only circuits that a
   /// send, a close or an orphaning has fired since.  Fairness: ready
   /// circuits are served in rotation by descriptor slot from a per-process
   /// cursor that persists across calls and moves past each circuit that
-  /// delivers, so no ready circuit waits more than one lap.  One call per
-  /// process at a time.  Status::lnvc_orphaned once every listed circuit
-  /// lost its last sender to a failure and holds nothing deliverable.
+  /// delivers, so no ready circuit waits more than one lap; a timeout does
+  /// not move it.  One call per process at a time.  Status::lnvc_orphaned
+  /// once every listed circuit lost its last sender to a failure and holds
+  /// nothing deliverable.
   Status receive_any(ProcessId pid, std::span<const LnvcId> ids, void* buf,
                      std::size_t cap, std::size_t* out_len,
-                     std::size_t* out_index);
-  /// receive_any with a deadline: Status::timed_out if none of `ids`
-  /// delivers within `timeout_ns` (virtual time under the simulator);
-  /// 0 delivers whatever is ready now and never blocks.  The rotation
-  /// cursor advances only on delivery, so a timeout does not reset
-  /// fairness.
-  Status receive_any_for(ProcessId pid, std::span<const LnvcId> ids,
-                         void* buf, std::size_t cap, std::size_t* out_len,
-                         std::size_t* out_index, std::uint64_t timeout_ns);
+                     std::size_t* out_index,
+                     std::uint64_t timeout_ns = kNoTimeout);
 
   // --- poll sets and pulses (DESIGN.md §14) -----------------------------
   /// Create an empty poll set owned by `pid`; its id is written to *out.
@@ -415,9 +406,9 @@ class Facility {
   /// still have to read do not count.  Level-triggered: a circuit left
   /// undrained is returned again, in the same slot rotation as
   /// receive_any.  One waiter at a time (Status::busy otherwise).
-  /// timeout_ns bounds the wait (kNoTimeout = forever; 0 = poll).
+  /// Same timeout contract as receive.
   Status pollset_wait(ProcessId pid, PollSetId ps, LnvcId* out,
-                      std::uint64_t timeout_ns);
+                      std::uint64_t timeout_ns = kNoTimeout);
   /// Send a pulse: a tiny no-reply notification carrying just `code`.
   /// Pulses ride fixed per-circuit slots (no block allocation) and
   /// repeats of a pending code coalesce into its count; at most
@@ -430,9 +421,6 @@ class Facility {
   /// a receive connection.
   Status receive_pulse(ProcessId pid, LnvcId id, std::uint32_t* out_code,
                        std::uint32_t* out_count);
-  /// Wait-forever sentinel for pollset_wait.
-  static constexpr std::uint64_t kNoTimeout = ~std::uint64_t{0};
-
   // --- failure detection and recovery ----------------------------------
   /// Record `pid`'s participation (OS pid natively).  Called implicitly by
   /// every operation; exposed so supervisors can pre-register.
@@ -628,30 +616,32 @@ class Facility {
   void free_chain(ProcessId pid, std::uint32_t home, shm::Offset& head,
                   std::uint32_t& count, shm::Offset& msg,
                   bool reaping = false);
+  // The receive family below takes the absolute deadline its public entry
+  // derived (0 = poll, kNoDeadline = forever); the entry has already
+  // charged the fixed receive path.
   Status receive_impl(ProcessId pid, LnvcId id, void* buf, std::size_t cap,
-                      std::size_t* out_len, bool blocking, bool* out_ready,
-                      std::uint64_t timeout_ns = 0);
-  /// Shared claim step of receive_impl / receive_view: block (or not) until
-  /// a message is deliverable to `pid` on `id`, claim it (FCFS consume or
-  /// broadcast-cursor advance), and return with the LNVC lock HELD and
-  /// *out_m set.  Nonblocking with nothing deliverable: Status::ok with
-  /// *out_m == nullptr (lock released).  Errors: lock released.
-  Status claim_message(ProcessId pid, LnvcId id, bool blocking,
-                       std::uint64_t timeout_ns, detail::LnvcDesc** out_d,
-                       detail::MsgHeader** out_m, bool* out_bcast,
-                       std::uint32_t* out_gen);
+                      std::size_t* out_len, std::uint64_t deadline_ns);
+  /// Shared claim step of receive_impl / receive_view_impl: wait until a
+  /// message is deliverable to `pid` on `id` or `deadline_ns` passes,
+  /// claim it (FCFS consume or broadcast-cursor advance), and return ok
+  /// with the LNVC lock HELD and *out_m set.  Errors (timed_out included):
+  /// lock released.
+  Status claim_message(ProcessId pid, LnvcId id, std::uint64_t deadline_ns,
+                       detail::LnvcDesc** out_d, detail::MsgHeader** out_m,
+                       bool* out_bcast, std::uint32_t* out_gen);
   Status receive_view_impl(ProcessId pid, LnvcId id, MsgView* out,
-                           bool blocking, bool* out_ready);
-  Status receive_any_impl(ProcessId pid, std::span<const LnvcId> ids,
-                          void* buf, std::size_t cap, std::size_t* out_len,
-                          std::size_t* out_index, std::uint64_t deadline_ns);
+                           std::uint64_t deadline_ns);
   /// Build the send-side message (slab or chain) and enqueue it; shared by
-  /// send / send_v / the timed variants.  `deadline_ns` is absolute
+  /// send / send_v.  `deadline_ns` is absolute
   /// platform time (kNoDeadline = wait forever) bounding both the quota
   /// park and the pool-exhaustion wait.
   Status send_impl(ProcessId pid, LnvcId id,
                    std::span<const ConstBuffer> iov, std::size_t total,
                    std::uint64_t deadline_ns);
+  /// Map a non-ok quota_admit outcome (descriptor lock held) to the send's
+  /// result: drop the lock, pass the park baton, count it — a shed is the
+  /// sender's ok, a fail-fast refusal is rejected.
+  Status admission_refused(ProcessId pid, detail::LnvcDesc& d, Status admit);
   /// Admission check against `d`'s quota ledger, with the descriptor lock
   /// held.  Returns ok with the charge taken (and the quota journal
   /// armed), or rejected / timed_out / closed / peer_failed per policy and
@@ -718,8 +708,6 @@ class Facility {
 
   // Failure recovery (recovery.cpp).
   static constexpr ProcessId kNoProcess = ~ProcessId{0};
-  /// Absolute-deadline sentinel: wait forever.
-  static constexpr std::uint64_t kNoDeadline = ~std::uint64_t{0};
   detail::ProcSlot* procs() const noexcept;
   detail::ProcSlot& pslot(ProcessId pid) const noexcept;
   static bool probe_alive(void* ctx, std::uint32_t holder_tag);

@@ -494,11 +494,13 @@ struct alignas(64) ProcSlot {
   /// Parked-sender membership: set (under the LNVC lock) while this
   /// process holds a ticket in the circuit's park FIFO.  Clearing it (by
   /// the owner or by reap()) removes the ticket from head-by-scan
-  /// contention, so a dead member silently promotes its successor.
+  /// contention, so a dead member silently promotes its successor.  The
+  /// operands are atomic because a head scan holds only its own circuit's
+  /// lock: it may read them while this process re-parks on another one.
   std::atomic<std::uint32_t> park_active;
-  std::uint32_t park_lnvc;
-  std::uint32_t park_gen;
-  std::uint64_t park_ticket;
+  std::atomic<std::uint32_t> park_lnvc;
+  std::atomic<std::uint32_t> park_gen;
+  std::atomic<std::uint64_t> park_ticket;
 
   /// Parked-receiver membership (lockfree_fcfs FCFS claim): counterpart of
   /// the park_* sender fields above, but scanned lock-free by fast-path

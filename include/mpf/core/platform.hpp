@@ -45,6 +45,15 @@ struct RobustOp {
   std::uint64_t spin_ns = sync::kDefaultParkSpinNs;
 };
 
+/// The one wait contract.  Every blocking call takes a relative
+/// `timeout_ns`: kNoTimeout waits forever, 0 polls (delivers what is ready
+/// now, else Status::timed_out), anything else bounds the wait.
+/// Internally a wait runs against an absolute deadline (kNoDeadline = none,
+/// the parker's own sentinel); Platform::deadline_after is the only
+/// conversion between the two.
+inline constexpr std::uint64_t kNoTimeout = ~std::uint64_t{0};
+inline constexpr std::uint64_t kNoDeadline = sync::kNoParkDeadline;
+
 class Platform {
  public:
   virtual ~Platform() = default;
@@ -184,6 +193,15 @@ class Platform {
   // --- time --------------------------------------------------------------
   /// Monotonic nanoseconds: wall time natively, virtual time simulated.
   [[nodiscard]] virtual std::uint64_t now_ns() const = 0;
+  /// Absolute deadline of a wait given `timeout_ns` from now: kNoDeadline
+  /// for kNoTimeout and 0 (already due) for a poll, neither reading the
+  /// clock; otherwise now + timeout_ns, saturating at kNoDeadline.
+  [[nodiscard]] std::uint64_t deadline_after(std::uint64_t timeout_ns) const {
+    if (timeout_ns == kNoTimeout) return kNoDeadline;
+    if (timeout_ns == 0) return 0;
+    const std::uint64_t now = now_ns();
+    return timeout_ns < kNoDeadline - now ? now + timeout_ns : kNoDeadline;
+  }
   /// Cooperative yield inside polling loops.
   virtual void yield() {}
 
@@ -203,10 +221,7 @@ class NativePlatform final : public Platform {
     // Snapshot under the lock: a notify issued after our predicate check
     // moves the epoch past it, so the park below cannot sleep through it.
     const std::uint32_t ticket = sync::Parker::prepare(cond_cell);
-    const std::uint64_t now = now_ns();
-    const std::uint64_t deadline = timeout_ns < sync::kNoParkDeadline - now
-                                       ? now + timeout_ns
-                                       : sync::kNoParkDeadline;
+    const std::uint64_t deadline = deadline_after(timeout_ns);
     mutex_cell.unlock();
     const bool notified = sync::Parker::park(
         cond_cell, ticket, deadline,

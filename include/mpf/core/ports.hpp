@@ -89,15 +89,15 @@ class SendPort {
     throw_if_error(facility_.send_pulse(pid_, id_, code),
                    "SendPort::send_pulse");
   }
-  /// Send with a deadline: false if the circuit's admission quota or the
-  /// buffer pool kept the message out for `timeout_ns` (virtual time
-  /// under the simulator).  A rejection under a fail-fast admission
-  /// policy also reports false — both mean "not accepted, try later".
-  /// Other failures still throw.
+  /// Send with a timeout (Facility's contract: 0 polls, kNoTimeout waits
+  /// forever): false if the circuit's admission quota or the buffer pool
+  /// kept the message out that long.  A rejection under a fail-fast
+  /// admission policy also reports false — both mean "not accepted, try
+  /// later".  Other failures still throw.
   bool send_for(std::span<const std::byte> payload,
                 std::uint64_t timeout_ns) {
-    const Status s = facility_.send_timed(pid_, id_, payload.data(),
-                                          payload.size(), timeout_ns);
+    const Status s = facility_.send(pid_, id_, payload.data(),
+                                    payload.size(), timeout_ns);
     if (s == Status::timed_out || s == Status::rejected) return false;
     throw_if_error(s, "SendPort::send_for");
     return true;
@@ -218,12 +218,9 @@ class ReceivePort {
 
   /// Blocking receive into `buffer`; returns length and truncation flag.
   Received receive(std::span<std::byte> buffer) {
-    std::size_t len = 0;
-    const Status s =
-        facility_.receive(pid_, id_, buffer.data(), buffer.size(), &len);
-    if (s == Status::truncated) return {len, true};
-    throw_if_error(s, "ReceivePort::receive");
-    return {len, false};
+    Received r;
+    receive_for(buffer, Facility::kNoTimeout, &r);
+    return r;
   }
   /// Blocking receive of the whole message as a byte vector.
   std::vector<std::byte> receive_bytes(std::size_t max_bytes = 1 << 20) {
@@ -246,52 +243,33 @@ class ReceivePort {
     }
     return value;
   }
-  /// Blocking receive with a deadline; false if it expired with no
-  /// message (virtual time under the simulator, wall time natively).
+  /// Receive with a timeout (Facility's contract: 0 polls, kNoTimeout
+  /// waits forever); false if it expired with no message (virtual time
+  /// under the simulator, wall time natively).
   bool receive_for(std::span<std::byte> buffer, std::uint64_t timeout_ns,
                    Received* out) {
     std::size_t len = 0;
-    const Status s = facility_.receive_for(pid_, id_, buffer.data(),
-                                           buffer.size(), &len, timeout_ns);
+    const Status s = facility_.receive(pid_, id_, buffer.data(),
+                                       buffer.size(), &len, timeout_ns);
     if (s == Status::timed_out) return false;
     if (s == Status::truncated) {
       if (out != nullptr) *out = {len, true};
       return true;
     }
-    throw_if_error(s, "ReceivePort::receive_for");
+    throw_if_error(s, "ReceivePort::receive");
     if (out != nullptr) *out = {len, false};
     return true;
   }
-  /// Non-blocking receive; false if no message was available.
-  bool try_receive(std::span<std::byte> buffer, Received* out) {
-    std::size_t len = 0;
-    bool ready = false;
-    const Status s = facility_.try_receive(pid_, id_, buffer.data(),
-                                           buffer.size(), &len, &ready);
-    if (s == Status::truncated) {
-      if (out != nullptr) *out = {len, true};
-      return true;
-    }
-    throw_if_error(s, "ReceivePort::try_receive");
-    if (ready && out != nullptr) *out = {len, false};
-    return ready;
-  }
-  /// Blocking zero-copy receive: the next message stays pinned in shared
-  /// memory and is read through the returned view's spans; it unpins when
-  /// the view is destroyed (or release()d).
-  [[nodiscard]] MessageView receive_view() {
+  /// Zero-copy receive: the next message stays pinned in shared memory
+  /// and is read through the returned view's spans; it unpins when the
+  /// view is destroyed (or release()d).  Same timeout contract as
+  /// receive_for; an invalid view means it expired with no message.
+  [[nodiscard]] MessageView receive_view(
+      std::uint64_t timeout_ns = Facility::kNoTimeout) {
     MsgView view;
-    throw_if_error(facility_.receive_view(pid_, id_, &view),
-                   "ReceivePort::receive_view");
-    return MessageView(facility_, pid_, std::move(view));
-  }
-  /// Non-blocking variant; an invalid view means no message was ready.
-  [[nodiscard]] MessageView try_receive_view() {
-    MsgView view;
-    bool ready = false;
-    throw_if_error(facility_.try_receive_view(pid_, id_, &view, &ready),
-                   "ReceivePort::try_receive_view");
-    if (!ready) return {};
+    const Status s = facility_.receive_view(pid_, id_, &view, timeout_ns);
+    if (s == Status::timed_out) return {};
+    throw_if_error(s, "ReceivePort::receive_view");
     return MessageView(facility_, pid_, std::move(view));
   }
 
@@ -377,13 +355,11 @@ class PollSet {
   /// left undrained is returned again by the next wait.
   [[nodiscard]] LnvcId wait() {
     LnvcId id = kInvalidLnvc;
-    throw_if_error(
-        facility_.pollset_wait(pid_, id_, &id, Facility::kNoTimeout),
-        "PollSet::wait");
+    throw_if_error(facility_.pollset_wait(pid_, id_, &id), "PollSet::wait");
     return id;
   }
   /// Timed wait: false if nothing became ready within `timeout_ns`
-  /// (0 = poll without sleeping).
+  /// (Facility's contract: 0 polls, kNoTimeout waits forever).
   bool wait_for(std::uint64_t timeout_ns, LnvcId* out) {
     LnvcId id = kInvalidLnvc;
     const Status s = facility_.pollset_wait(pid_, id_, &id, timeout_ns);
@@ -422,26 +398,11 @@ struct ReceivedAny {
   bool truncated = false;
 };
 
-/// Blocking receive from whichever of `ports` delivers first.  All ports
-/// must belong to the same participant (same facility and pid).
-inline ReceivedAny receive_any(Facility& facility, ProcessId pid,
-                               std::span<ReceivePort* const> ports,
-                               std::span<std::byte> buffer) {
-  std::vector<LnvcId> ids;
-  ids.reserve(ports.size());
-  for (const ReceivePort* p : ports) ids.push_back(p->id());
-  std::size_t len = 0;
-  std::size_t index = 0;
-  const Status s = facility.receive_any(pid, ids, buffer.data(),
-                                        buffer.size(), &len, &index);
-  if (s == Status::truncated) return {index, len, true};
-  throw_if_error(s, "receive_any");
-  return {index, len, false};
-}
-
-/// Timed variant of receive_any: false if no port delivered within
-/// `timeout_ns`.  The facility's rotation cursor persists across timed-out
-/// calls, so fairness is preserved when the caller retries.
+/// Receive from whichever of `ports` delivers first; false if none
+/// delivered within `timeout_ns` (Facility's contract: 0 polls, kNoTimeout
+/// waits forever).  All ports must belong to the same participant (same
+/// facility and pid).  The facility's rotation cursor persists across
+/// timed-out calls, so fairness is preserved when the caller retries.
 inline bool receive_any_for(Facility& facility, ProcessId pid,
                             std::span<ReceivePort* const> ports,
                             std::span<std::byte> buffer,
@@ -451,17 +412,26 @@ inline bool receive_any_for(Facility& facility, ProcessId pid,
   for (const ReceivePort* p : ports) ids.push_back(p->id());
   std::size_t len = 0;
   std::size_t index = 0;
-  const Status s = facility.receive_any_for(pid, ids, buffer.data(),
-                                            buffer.size(), &len, &index,
-                                            timeout_ns);
+  const Status s = facility.receive_any(pid, ids, buffer.data(),
+                                        buffer.size(), &len, &index,
+                                        timeout_ns);
   if (s == Status::timed_out) return false;
   if (s == Status::truncated) {
     if (out != nullptr) *out = {index, len, true};
     return true;
   }
-  throw_if_error(s, "receive_any_for");
+  throw_if_error(s, "receive_any");
   if (out != nullptr) *out = {index, len, false};
   return true;
+}
+
+/// Blocking receive_any_for.
+inline ReceivedAny receive_any(Facility& facility, ProcessId pid,
+                               std::span<ReceivePort* const> ports,
+                               std::span<std::byte> buffer) {
+  ReceivedAny out;
+  receive_any_for(facility, pid, ports, buffer, Facility::kNoTimeout, &out);
+  return out;
 }
 
 inline SendPort Participant::open_send(std::string_view name) {

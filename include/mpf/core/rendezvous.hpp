@@ -47,7 +47,8 @@ class Rendezvous {
   /// Block until a receiver has taken the payload (one direct copy).
   void send(std::span<const std::byte> payload);
   /// Timed variant: Status::timed_out if no receiver completed the
-  /// hand-off within `timeout_ns` (virtual time under the simulator).
+  /// hand-off within `timeout_ns` (virtual time under the simulator; 0
+  /// polls, kNoTimeout waits forever).
   /// An expired offer is withdrawn under the cell lock, so a later
   /// receiver never sees a stale buffer pointer; once a receiver has
   /// started the copy the send completes normally regardless of the
@@ -62,7 +63,7 @@ class Rendezvous {
 
  private:
   /// Shared body of send / send_for: the same two-phase hand-off, with
-  /// both waits bounded when deadline_ns is not the no-deadline sentinel.
+  /// both waits bounded unless deadline_ns is kNoDeadline.
   Status send_impl(std::span<const std::byte> payload,
                    std::uint64_t deadline_ns);
   /// Wait (cell lock held) until state == want; false on deadline expiry.

@@ -35,7 +35,6 @@ struct TransportCaps {
   bool scatter_gather = false;   ///< send_v gathers without coalescing
   bool many_to_many = false;     ///< more than one process per side
   bool cross_process = false;    ///< endpoints may be fork()ed processes
-  bool timed_send = false;       ///< send_timed honors its deadline
 };
 
 /// Outcome of a copying receive, aligned across policies: `length` is the
@@ -55,15 +54,12 @@ class Transport {
   [[nodiscard]] virtual const char* name() const noexcept = 0;
   [[nodiscard]] virtual TransportCaps caps() const noexcept = 0;
 
-  /// Blocking send of one contiguous message.
-  virtual Status send(const void* data, std::size_t len) = 0;
-  /// Send that gives up with Status::timed_out once `timeout_ns` elapses
-  /// without the message being accepted (virtual time under the
-  /// simulator).  timeout_ns == 0 polls.  Only honored when
-  /// caps().timed_send — the base class falls back to the blocking send,
-  /// so probe the capability when the deadline matters.
-  virtual Status send_timed(const void* data, std::size_t len,
-                            std::uint64_t timeout_ns);
+  /// Send of one contiguous message.  Every policy honors the facility's
+  /// timeout contract: Status::timed_out once `timeout_ns` elapses without
+  /// the message being accepted (virtual time under the simulator); 0
+  /// polls, kNoTimeout (the default) waits forever.
+  virtual Status send(const void* data, std::size_t len,
+                      std::uint64_t timeout_ns = kNoTimeout) = 0;
   /// Blocking scatter-gather send.  The default coalesces into one
   /// contiguous staging buffer — policies with native gather override it.
   virtual Status send_v(std::span<const ConstBuffer> iov);
@@ -92,12 +88,10 @@ class LnvcTransport final : public Transport {
     return {.zero_copy_view = true,
             .scatter_gather = true,
             .many_to_many = true,
-            .cross_process = true,
-            .timed_send = true};
+            .cross_process = true};
   }
-  Status send(const void* data, std::size_t len) override;
-  Status send_timed(const void* data, std::size_t len,
-                    std::uint64_t timeout_ns) override;
+  Status send(const void* data, std::size_t len,
+              std::uint64_t timeout_ns = kNoTimeout) override;
   Status send_v(std::span<const ConstBuffer> iov) override;
   Status receive(void* buf, std::size_t cap, RecvResult* out) override;
   Status receive_view(MsgView* out) override;
@@ -122,11 +116,10 @@ class ChannelTransport final : public Transport {
     return "channel";
   }
   [[nodiscard]] TransportCaps caps() const noexcept override {
-    return {.cross_process = true, .timed_send = true};
+    return {.cross_process = true};
   }
-  Status send(const void* data, std::size_t len) override;
-  Status send_timed(const void* data, std::size_t len,
-                    std::uint64_t timeout_ns) override;
+  Status send(const void* data, std::size_t len,
+              std::uint64_t timeout_ns = kNoTimeout) override;
   Status receive(void* buf, std::size_t cap, RecvResult* out) override;
 
  private:
@@ -145,11 +138,10 @@ class RendezvousTransport final : public Transport {
   }
   [[nodiscard]] TransportCaps caps() const noexcept override {
     // Shared address space, one pair per transfer, no views.
-    return {.timed_send = true};
+    return {};
   }
-  Status send(const void* data, std::size_t len) override;
-  Status send_timed(const void* data, std::size_t len,
-                    std::uint64_t timeout_ns) override;
+  Status send(const void* data, std::size_t len,
+              std::uint64_t timeout_ns = kNoTimeout) override;
   Status receive(void* buf, std::size_t cap, RecvResult* out) override;
 
  private:

@@ -100,7 +100,7 @@ class DVar {
     T incoming{};
     Received r{};
     std::vector<std::byte> buf(sizeof(T));
-    while (rx_.try_receive(buf, &r)) {
+    while (rx_.receive_for(buf, 0, &r)) {
       if (r.length != sizeof(T)) continue;  // foreign traffic: ignore
       std::memcpy(&incoming, buf.data(), sizeof(T));
       value_ = incoming;
@@ -112,7 +112,7 @@ class DVar {
   bool refresh_view() {
     bool changed = false;
     while (true) {
-      MessageView v = rx_.try_receive_view();
+      MessageView v = rx_.receive_view(0);
       if (!v.valid()) break;
       if (v.length() != sizeof(T)) continue;  // foreign traffic: ignore
       if (rx_.check()) continue;  // superseded: a newer update is queued
@@ -150,7 +150,7 @@ class Accumulator {
     T delta{};
     Received r{};
     std::vector<std::byte> buf(sizeof(T));
-    while (rx_.try_receive(buf, &r)) {
+    while (rx_.receive_for(buf, 0, &r)) {
       if (r.length != sizeof(T)) continue;
       std::memcpy(&delta, buf.data(), sizeof(T));
       value_ += delta;

@@ -433,9 +433,9 @@ class Script {
       } else {
         iov[nio++] = ConstBuffer{buf.data() + cut1, len - cut1};
       }
-      st = f_.sendv_timed(pid_, id, std::span(iov.data(), nio), deadline());
+      st = f_.send_v(pid_, id, std::span(iov.data(), nio), deadline());
     } else if (timed || !shape_.allow_untimed) {
-      st = f_.send_timed(pid_, id, buf.data(), len, deadline());
+      st = f_.send(pid_, id, buf.data(), len, deadline());
     } else {
       st = f_.send(pid_, id, buf.data(), len);
     }
@@ -454,16 +454,10 @@ class Script {
     const std::size_t cap = sizeof(WireHdr) + rng_.below(1400);
     std::vector<std::uint8_t> buf(cap);
     std::size_t got = 0;
-    Status st;
-    if (blocking) {
-      const SendOpens before = send_opens(n);
-      st = f_.receive_for(pid_, id, buf.data(), cap, &got, deadline());
-      if (st == Status::lnvc_orphaned) note_orphaned(n, before);
-    } else {
-      bool ready = false;
-      st = f_.try_receive(pid_, id, buf.data(), cap, &got, &ready);
-      if (st == Status::ok && !ready) return;
-    }
+    const SendOpens before = send_opens(n);
+    const Status st =
+        f_.receive(pid_, id, buf.data(), cap, &got, blocking ? deadline() : 0);
+    if (st == Status::lnvc_orphaned) note_orphaned(n, before);
     if (!transfer_ok(st)) {
       unexpected("receive", n, st);
       return;
@@ -482,14 +476,15 @@ class Script {
     }
     const LnvcId id = me().recv_id[static_cast<std::size_t>(n)];
     MsgView view;
-    bool ready = false;
-    const Status st = f_.try_receive_view(pid_, id, &view, &ready);
+    const SendOpens before = send_opens(n);
+    const Status st = f_.receive_view(pid_, id, &view, 0);
+    if (st == Status::lnvc_orphaned) note_orphaned(n, before);
     if (!transfer_ok(st) && st != Status::table_full) {
       unexpected("receive_view", n, st);
       return;
     }
     maybe_drop(n, st, /*sender=*/false);
-    if (st != Status::ok || !ready) return;
+    if (st != Status::ok) return;
     // Read the pinned payload through the view and validate it like a
     // copy-out delivery.
     std::vector<std::uint8_t> buf(view.length);
@@ -533,8 +528,8 @@ class Script {
       before.push_back(send_opens(n));
       all_orphaned = all_orphaned && known_orphaned(n);
     }
-    const Status st = f_.receive_any_for(pid_, ids, buf.data(), cap, &got,
-                                         &index, deadline());
+    const Status st = f_.receive_any(pid_, ids, buf.data(), cap, &got,
+                                     &index, deadline());
     if (!transfer_ok(st)) {
       unexpected("receive_any", -1, st);
       return;
@@ -863,7 +858,7 @@ const char* fuzz_op_name(std::uint32_t op) noexcept {
   static constexpr const char* kNames[kFuzzOpCount] = {
       "open_send",    "open_recv_fcfs", "open_recv_bcast", "close_send",
       "close_recv",   "send",           "sendv",           "send_timed",
-      "try_receive",  "receive_for",    "receive_view",    "receive_any",
+      "receive_poll", "receive_timed",  "receive_view",    "receive_any",
       "release_view", "check",          "set_admission",   "reap",
       "send_pulse",   "receive_pulse",  "pollset"};
   return op < kFuzzOpCount ? kNames[op] : "?";

@@ -86,13 +86,13 @@ void random_worker(Facility facility, int rank, int nprocs, std::size_t len,
     dest.send(out);
     // Drain everything queued for us (paper: "it then receives all
     // messages that are queued in its LNVC").
-    while (own.try_receive(in, &got)) {
+    while (own.receive_for(in, 0, &got)) {
     }
   }
   // Final drain so most traffic is delivered before teardown; messages
   // that arrive after this are discarded when the LNVC dies — exactly the
   // close semantics of §3.2.
-  while (own.try_receive(in, &got)) {
+  while (own.receive_for(in, 0, &got)) {
   }
 }
 
@@ -122,10 +122,9 @@ void chaos_worker(Facility facility, int rank, int nprocs, std::size_t len,
   const auto drain = [&] {
     for (;;) {
       std::size_t got = 0;
-      bool ready = false;
-      const Status s = facility.try_receive(pid, own, in.data(), in.size(),
-                                            &got, &ready);
-      if ((s != Status::ok && s != Status::truncated) || !ready) break;
+      const Status s =
+          facility.receive(pid, own, in.data(), in.size(), &got, 0);
+      if (s != Status::ok && s != Status::truncated) break;
     }
   };
   for (int i = 0; i < msgs; ++i) {
@@ -142,8 +141,8 @@ void chaos_worker(Facility facility, int rank, int nprocs, std::size_t len,
   // the timed blocking path under failures.
   std::size_t got = 0;
   for (int i = 0; i < 4; ++i) {
-    const Status s = facility.receive_for(pid, own, in.data(), in.size(),
-                                          &got, 2'000'000);
+    const Status s =
+        facility.receive(pid, own, in.data(), in.size(), &got, 2'000'000);
     if (s != Status::ok && s != Status::truncated) break;
   }
   for (const LnvcId id : peers) (void)facility.close_send(pid, id);

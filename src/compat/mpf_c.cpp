@@ -114,10 +114,10 @@ int mpf_message_send_timed(int process_id, int lnvc_id,
   mpf::Facility* f = facility();
   if (f == nullptr) return MPF_ENOTINIT;
   if (process_id < 0 || buffer_length < 0) return MPF_EINVAL;
-  return status_code(f->send_timed(
-      static_cast<mpf::ProcessId>(process_id), lnvc_id, send_buffer,
-      static_cast<std::size_t>(buffer_length),
-      static_cast<std::uint64_t>(timeout_ns)));
+  return status_code(f->send(static_cast<mpf::ProcessId>(process_id),
+                             lnvc_id, send_buffer,
+                             static_cast<std::size_t>(buffer_length),
+                             static_cast<std::uint64_t>(timeout_ns)));
 }
 
 int mpf_message_receive(int process_id, int lnvc_id, char* receive_buffer,

@@ -18,8 +18,6 @@ std::size_t round_pow2(std::size_t v) {
 /// lock, no descriptor walk (vs ~3 ms for the general LNVC path).
 constexpr double kChannelFixedOps = 150;
 
-constexpr std::uint64_t kNoDeadline = ~std::uint64_t{0};
-
 }  // namespace
 
 std::size_t Channel::footprint(std::size_t ring_bytes) noexcept {
@@ -66,11 +64,7 @@ Status Channel::send_impl(std::span<const std::byte> payload,
   const std::size_t record = kLenBytes + payload.size();
   if (record > header_->capacity / 2) return Status::invalid_argument;
   platform_->charge_ops(kChannelFixedOps);
-  std::uint64_t deadline = kNoDeadline;
-  if (timeout_ns != kNoDeadline) {
-    deadline = platform_->now_ns() + timeout_ns;
-    if (deadline < timeout_ns) deadline = kNoDeadline;  // saturate
-  }
+  const std::uint64_t deadline = platform_->deadline_after(timeout_ns);
   const std::uint64_t tail = header_->tail.load(std::memory_order_relaxed);
   // Wait for room (SPSC: only the consumer moves head).
   while (tail + record - header_->head.load(std::memory_order_acquire) >
@@ -89,7 +83,7 @@ Status Channel::send_impl(std::span<const std::byte> payload,
 }
 
 bool Channel::send(std::span<const std::byte> payload) {
-  return send_impl(payload, kNoDeadline) == Status::ok;
+  return send_impl(payload, kNoTimeout) == Status::ok;
 }
 
 Status Channel::send_for(std::span<const std::byte> payload,

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
+#include <ostream>
 
 #include "mpf/core/numa.hpp"
 
@@ -75,6 +77,20 @@ const char* to_string(Status s) noexcept {
     case Status::busy: return "resource busy";
   }
   return "unknown status";
+}
+
+std::ostream& operator<<(std::ostream& os, Status s) {
+  // Indexed by the enumerator's value, in declaration order.
+  static constexpr const char* kNames[] = {
+      "ok",           "invalid_argument",  "table_full",    "no_such_lnvc",
+      "not_connected", "already_connected", "protocol_conflict",
+      "out_of_blocks", "truncated",         "closed",        "timed_out",
+      "peer_failed",  "lnvc_orphaned",     "rejected",      "busy"};
+  static_assert(std::size(kNames) ==
+                static_cast<std::size_t>(Status::busy) + 1);
+  const auto i = static_cast<std::size_t>(s);
+  if (i < std::size(kNames)) return os << kNames[i];
+  return os << "Status(" << static_cast<int>(s) << ")";
 }
 
 Config Config::resolved() const noexcept {

@@ -633,37 +633,40 @@ Status Facility::quota_admit(ProcessId pid, detail::LnvcDesc& d, LnvcId id,
 }
 
 Status Facility::send(ProcessId pid, LnvcId id, const void* data,
-                      std::size_t len) {
+                      std::size_t len, std::uint64_t timeout_ns) {
   const ConstBuffer one{data, len};
   return send_impl(pid, id, std::span<const ConstBuffer>(&one, 1), len,
-                   kNoDeadline);
+                   platform_->deadline_after(timeout_ns));
 }
 
 Status Facility::send_v(ProcessId pid, LnvcId id,
-                        std::span<const ConstBuffer> iov) {
+                        std::span<const ConstBuffer> iov,
+                        std::uint64_t timeout_ns) {
   std::size_t total = 0;
   for (const ConstBuffer& b : iov) total += b.len;
-  return send_impl(pid, id, iov, total, kNoDeadline);
+  return send_impl(pid, id, iov, total, platform_->deadline_after(timeout_ns));
 }
 
-Status Facility::send_timed(ProcessId pid, LnvcId id, const void* data,
-                            std::size_t len, std::uint64_t timeout_ns) {
-  const ConstBuffer one{data, len};
-  return sendv_timed(pid, id, std::span<const ConstBuffer>(&one, 1),
-                     timeout_ns);
-}
-
-Status Facility::sendv_timed(ProcessId pid, LnvcId id,
-                             std::span<const ConstBuffer> iov,
-                             std::uint64_t timeout_ns) {
-  std::size_t total = 0;
-  for (const ConstBuffer& b : iov) total += b.len;
-  // timeout 0 = poll: the deadline is "now", so any would-block point
-  // (quota park, pool exhaustion) expires immediately instead of sleeping.
-  const std::uint64_t now = platform_->now_ns();
-  std::uint64_t deadline = now + timeout_ns;
-  if (deadline < now) deadline = kNoDeadline;  // saturate huge timeouts
-  return send_impl(pid, id, iov, total, deadline);
+Status Facility::admission_refused(ProcessId pid, detail::LnvcDesc& d,
+                                   Status admit) {
+  const auto policy = static_cast<AdmissionPolicy>(d.policy);
+  platform_->unlock(d.lock);
+  park_ripple(d);
+  reap_if_dead(pid, kNoProcess);
+  if (admit == Status::rejected) {
+    if (policy == AdmissionPolicy::shed_newest) {
+      // Shed: the newest message (this one) is silently dropped; the
+      // sender observes success, the counter observes the loss.
+      header_->sends_shed.fetch_add(1, std::memory_order_relaxed);
+      return Status::ok;
+    }
+    header_->sends_rejected.fetch_add(1, std::memory_order_relaxed);
+    return Status::rejected;
+  }
+  if (admit == Status::timed_out) {
+    header_->sends_timed_out.fetch_add(1, std::memory_order_relaxed);
+  }
+  return admit;
 }
 
 Status Facility::send_impl(ProcessId pid, LnvcId id,
@@ -716,26 +719,7 @@ Status Facility::send_impl(ProcessId pid, LnvcId id,
     const Status admit = quota_admit(
         pid, *d, id, want_slab ? 0 : static_cast<std::uint32_t>(need_chain),
         want_slab ? 1 : 0, deadline_ns);
-    if (admit != Status::ok) {
-      const auto policy = static_cast<AdmissionPolicy>(d->policy);
-      platform_->unlock(d->lock);
-      park_ripple(*d);
-      reap_if_dead(pid, kNoProcess);
-      if (admit == Status::rejected) {
-        if (policy == AdmissionPolicy::shed_newest) {
-          // Shed: the newest message (this one) is silently dropped; the
-          // sender observes success, the counter observes the loss.
-          header_->sends_shed.fetch_add(1, std::memory_order_relaxed);
-          return Status::ok;
-        }
-        header_->sends_rejected.fetch_add(1, std::memory_order_relaxed);
-        return Status::rejected;
-      }
-      if (admit == Status::timed_out) {
-        header_->sends_timed_out.fetch_add(1, std::memory_order_relaxed);
-      }
-      return admit;
-    }
+    if (admit != Status::ok) return admission_refused(pid, *d, admit);
   }
   // Pick the memory node for the message body while the descriptor lock
   // pins the connection list: an FCFS message is consumed by exactly one
@@ -787,24 +771,7 @@ Status Facility::send_impl(ProcessId pid, LnvcId id,
         const Status admit =
             quota_admit(pid, *d, id, static_cast<std::uint32_t>(need_chain),
                         0, deadline_ns);
-        if (admit != Status::ok) {
-          const auto policy = static_cast<AdmissionPolicy>(d->policy);
-          platform_->unlock(d->lock);
-          park_ripple(*d);
-          reap_if_dead(pid, kNoProcess);
-          if (admit == Status::rejected) {
-            if (policy == AdmissionPolicy::shed_newest) {
-              header_->sends_shed.fetch_add(1, std::memory_order_relaxed);
-              return Status::ok;
-            }
-            header_->sends_rejected.fetch_add(1, std::memory_order_relaxed);
-            return Status::rejected;
-          }
-          if (admit == Status::timed_out) {
-            header_->sends_timed_out.fetch_add(1, std::memory_order_relaxed);
-          }
-          return admit;
-        }
+        if (admit != Status::ok) return admission_refused(pid, *d, admit);
         platform_->unlock(d->lock);
         park_ripple(*d);
       }
@@ -992,39 +959,16 @@ Status Facility::send_impl(ProcessId pid, LnvcId id,
 
 Status Facility::receive_any(ProcessId pid, std::span<const LnvcId> ids,
                              void* buf, std::size_t cap,
-                             std::size_t* out_len, std::size_t* out_index) {
-  return receive_any_impl(pid, ids, buf, cap, out_len, out_index,
-                          kNoDeadline);
-}
-
-Status Facility::receive_any_for(ProcessId pid, std::span<const LnvcId> ids,
-                                 void* buf, std::size_t cap,
-                                 std::size_t* out_len, std::size_t* out_index,
-                                 std::uint64_t timeout_ns) {
-  // timeout 0 = deliver whatever is ready now, then timed_out: the
-  // deadline "now" expires once the ready set is empty.
-  const std::uint64_t now = platform_->now_ns();
-  std::uint64_t deadline = now + timeout_ns;
-  if (deadline < now) deadline = kNoDeadline;  // saturate huge timeouts
-  return receive_any_impl(pid, ids, buf, cap, out_len, out_index, deadline);
-}
-
-Status Facility::receive_any_impl(ProcessId pid, std::span<const LnvcId> ids,
-                                  void* buf, std::size_t cap,
-                                  std::size_t* out_len,
-                                  std::size_t* out_index,
-                                  std::uint64_t deadline_ns) {
+                             std::size_t* out_len, std::size_t* out_index,
+                             std::uint64_t timeout_ns) {
   if (ids.empty() || out_len == nullptr || out_index == nullptr) {
     return Status::invalid_argument;
   }
+  const std::uint64_t deadline_ns = platform_->deadline_after(timeout_ns);
   if (ids.size() == 1) {
     *out_index = 0;
-    if (deadline_ns == kNoDeadline) {
-      return receive(pid, ids[0], buf, cap, out_len);
-    }
-    const std::uint64_t now = platform_->now_ns();
-    return receive_for(pid, ids[0], buf, cap, out_len,
-                       deadline_ns > now ? deadline_ns - now : 0);
+    platform_->charge_recv_fixed();
+    return receive_impl(pid, ids[0], buf, cap, out_len, deadline_ns);
   }
   if (pid >= header_->max_processes) return Status::invalid_argument;
   for (const LnvcId id : ids) {
@@ -1119,16 +1063,20 @@ Status Facility::receive_any_impl(ProcessId pid, std::span<const LnvcId> ids,
       const Status st = revalidate(e, &ready);
       if (st != Status::ok) return st;
       if (!ready) continue;
-      bool got = false;
-      const Status rst = receive_impl(pid, ids[e.index], buf, cap, out_len,
-                                      /*blocking=*/false, &got);
-      if (rst != Status::ok && rst != Status::truncated) return rst;
-      if (got) {
+      // A poll: the claim pays the fixed receive path as a receive does.
+      platform_->charge_recv_fixed();
+      const Status rst =
+          receive_impl(pid, ids[e.index], buf, cap, out_len, /*deadline=*/0);
+      if (rst == Status::ok || rst == Status::truncated) {
         *out_index = e.index;
         rs.cursor.store(s + 1, std::memory_order_relaxed);
         return rst;
       }
-      // Another receiver won the race; the mark brings us back to re-arm.
+      // Another receiver won the race (nothing left, or left orphaned):
+      // the mark brings us back to re-arm, or to the orphan verdict.
+      if (rst != Status::timed_out && rst != Status::lnvc_orphaned) {
+        return rst;
+      }
     }
     // A circuit idle with its last sender dead can never deliver again.
     // Once every listed circuit was last found so, confirm it under the
@@ -1160,8 +1108,8 @@ Status Facility::receive_any_impl(ProcessId pid, std::span<const LnvcId> ids,
   }
 }
 
-Status Facility::claim_message(ProcessId pid, LnvcId id, bool blocking,
-                               std::uint64_t timeout_ns,
+Status Facility::claim_message(ProcessId pid, LnvcId id,
+                               std::uint64_t deadline,
                                detail::LnvcDesc** out_d,
                                detail::MsgHeader** out_m, bool* out_bcast,
                                std::uint32_t* out_gen) {
@@ -1172,9 +1120,6 @@ Status Facility::claim_message(ProcessId pid, LnvcId id, bool blocking,
     return Status::invalid_argument;
   }
   *out_d = d;
-  platform_->charge_recv_fixed();
-  const std::uint64_t deadline =
-      timeout_ns > 0 ? platform_->now_ns() + timeout_ns : kNoDeadline;
 
   alock_lnvc(*d, pid);
   if (d->in_use == 0) {
@@ -1233,18 +1178,19 @@ Status Facility::claim_message(ProcessId pid, LnvcId id, bool blocking,
       header_->spurious_wakes.fetch_add(1, std::memory_order_relaxed);
       parked_woken = false;
     }
-    if (!blocking) {
-      platform_->unlock(d->lock);
-      reap_if_dead(pid, kNoProcess);
-      return Status::ok;  // *out_ready stays false
-    }
     if (d->n_senders == 0 && d->last_sender_died != 0) {
       // Nothing deliverable, no sender left, and the last one died rather
-      // than closing: nobody will ever send here again.
+      // than closing: nobody will ever send here again.  Checked before
+      // the deadline, so a poll reports it too.
       platform_->unlock(d->lock);
       header_->orphaned_receives.fetch_add(1, std::memory_order_relaxed);
       reap_if_dead(pid, kNoProcess);
       return Status::lnvc_orphaned;
+    }
+    if (deadline != kNoDeadline && platform_->now_ns() >= deadline) {
+      platform_->unlock(d->lock);
+      reap_if_dead(pid, kNoProcess);
+      return Status::timed_out;
     }
     waited = true;
     // Every wait is bounded by the caller's deadline and by the suspicion
@@ -1290,11 +1236,6 @@ Status Facility::claim_message(ProcessId pid, LnvcId id, bool blocking,
       parked_woken = woken;
       alock_lnvc(*d, pid);
     } else {
-      if (platform_->now_ns() >= deadline) {
-        platform_->unlock(d->lock);
-        reap_if_dead(pid, kNoProcess);
-        return Status::timed_out;
-      }
       // Only the elected prober keeps the tight probe period (see
       // probe_claim).
       const bool prober = suspicion != 0 && probe_claim(*d, pid);
@@ -1359,22 +1300,18 @@ void Facility::unpin(ProcessId pid, detail::LnvcDesc& d, detail::MsgHeader* m,
 
 Status Facility::receive_impl(ProcessId pid, LnvcId id, void* buf,
                               std::size_t cap, std::size_t* out_len,
-                              bool blocking, bool* out_ready,
-                              std::uint64_t timeout_ns) {
+                              std::uint64_t deadline_ns) {
   if (out_len == nullptr || (buf == nullptr && cap > 0)) {
     return Status::invalid_argument;
   }
   *out_len = 0;
-  if (out_ready != nullptr) *out_ready = false;
   detail::LnvcDesc* d = nullptr;
   detail::MsgHeader* m = nullptr;
   bool bcast = false;
   std::uint32_t generation = 0;
   const Status claim =
-      claim_message(pid, id, blocking, timeout_ns, &d, &m, &bcast,
-                    &generation);
+      claim_message(pid, id, deadline_ns, &d, &m, &bcast, &generation);
   if (claim != Status::ok) return claim;
-  if (m == nullptr) return Status::ok;  // nonblocking, *out_ready false
 
   // Pin the message so reclaim leaves it alone, then copy outside the lock
   // — this is what lets BROADCAST receivers copy concurrently (the paper's
@@ -1410,7 +1347,6 @@ Status Facility::receive_impl(ProcessId pid, LnvcId id, void* buf,
   platform_->touch(m->length);
   const Status status = m->length > cap ? Status::truncated : Status::ok;
   *out_len = copied;
-  if (out_ready != nullptr) *out_ready = true;
 
   alock_lnvc(*d, pid);
   journal_clear(pid);
@@ -1426,7 +1362,7 @@ Status Facility::receive_impl(ProcessId pid, LnvcId id, void* buf,
 }
 
 Status Facility::receive_view_impl(ProcessId pid, LnvcId id, MsgView* out,
-                                   bool blocking, bool* out_ready) {
+                                   std::uint64_t deadline_ns) {
   if (out == nullptr || pid >= header_->max_processes) {
     return Status::invalid_argument;
   }
@@ -1435,7 +1371,6 @@ Status Facility::receive_view_impl(ProcessId pid, LnvcId id, MsgView* out,
   out->length = 0;
   out->msg = shm::kNullOffset;
   out->seq = 0;
-  if (out_ready != nullptr) *out_ready = false;
   // Reserve a view-table slot before claiming: failing after the claim
   // would mean un-claiming, which FCFS cannot undo exactly.  The CAS keeps
   // two threads sharing one ProcessId from arming the same slot; a
@@ -1448,10 +1383,10 @@ Status Facility::receive_view_impl(ProcessId pid, LnvcId id, MsgView* out,
   bool bcast = false;
   std::uint32_t generation = 0;
   const Status claim =
-      claim_message(pid, id, blocking, 0, &d, &m, &bcast, &generation);
-  if (claim != Status::ok || m == nullptr) {
+      claim_message(pid, id, deadline_ns, &d, &m, &bcast, &generation);
+  if (claim != Status::ok) {
     view_cancel(pid, vslot);
-    return claim;  // ok: nonblocking with *out_ready still false
+    return claim;
   }
 
   // Pin in place; the view-table record covers the pin (and the BROADCAST
@@ -1504,7 +1439,6 @@ Status Facility::receive_view_impl(ProcessId pid, LnvcId id, MsgView* out,
   // reader's working set.
   platform_->charge_view(m->length, m->nblocks);
   platform_->touch(m->length);
-  if (out_ready != nullptr) *out_ready = true;
 
   header_->receives.fetch_add(1, std::memory_order_relaxed);
   header_->bytes_delivered.fetch_add(m->length, std::memory_order_relaxed);
@@ -1514,14 +1448,11 @@ Status Facility::receive_view_impl(ProcessId pid, LnvcId id, MsgView* out,
   return Status::ok;
 }
 
-Status Facility::receive_view(ProcessId pid, LnvcId id, MsgView* out) {
-  return receive_view_impl(pid, id, out, /*blocking=*/true, nullptr);
-}
-
-Status Facility::try_receive_view(ProcessId pid, LnvcId id, MsgView* out,
-                                  bool* out_ready) {
-  if (out_ready == nullptr) return Status::invalid_argument;
-  return receive_view_impl(pid, id, out, /*blocking=*/false, out_ready);
+Status Facility::receive_view(ProcessId pid, LnvcId id, MsgView* out,
+                              std::uint64_t timeout_ns) {
+  platform_->charge_recv_fixed();
+  return receive_view_impl(pid, id, out,
+                           platform_->deadline_after(timeout_ns));
 }
 
 Status Facility::release_view(ProcessId pid, MsgView* view) {
@@ -1606,30 +1537,12 @@ std::size_t Facility::copy_view(const MsgView& view, void* dst,
 }
 
 Status Facility::receive(ProcessId pid, LnvcId id, void* buf, std::size_t cap,
-                         std::size_t* out_len) {
-  return receive_impl(pid, id, buf, cap, out_len, /*blocking=*/true, nullptr);
-}
-
-Status Facility::try_receive(ProcessId pid, LnvcId id, void* buf,
-                             std::size_t cap, std::size_t* out_len,
-                             bool* out_ready) {
-  if (out_ready == nullptr) return Status::invalid_argument;
-  return receive_impl(pid, id, buf, cap, out_len, /*blocking=*/false,
-                      out_ready);
-}
-
-Status Facility::receive_for(ProcessId pid, LnvcId id, void* buf,
-                             std::size_t cap, std::size_t* out_len,
-                             std::uint64_t timeout_ns) {
-  if (timeout_ns == 0) {
-    bool ready = false;
-    const Status s = receive_impl(pid, id, buf, cap, out_len,
-                                  /*blocking=*/false, &ready);
-    if (s != Status::ok && s != Status::truncated) return s;
-    return ready ? s : Status::timed_out;
-  }
-  return receive_impl(pid, id, buf, cap, out_len, /*blocking=*/true, nullptr,
-                      timeout_ns);
+                         std::size_t* out_len, std::uint64_t timeout_ns) {
+  // Charge the fixed receive path before fixing the deadline: the timeout
+  // bounds the wait, not the modelled fixed cost (simulator time).
+  platform_->charge_recv_fixed();
+  return receive_impl(pid, id, buf, cap, out_len,
+                      platform_->deadline_after(timeout_ns));
 }
 
 Status Facility::check(ProcessId pid, LnvcId id, bool* out) {

@@ -189,8 +189,7 @@ void Facility::park_on_set(ProcessId pid, const detail::ReadyBits& b,
   for (std::uint32_t w = 0; w < header_->summary_words; ++w) {
     if (b.summary[w].load(std::memory_order_seq_cst) != 0) return;
   }
-  std::uint64_t park_deadline =
-      deadline == kNoDeadline ? sync::kNoParkDeadline : deadline;
+  std::uint64_t park_deadline = deadline;
   if (header_->suspicion_ns != 0) {
     park_deadline = std::min(park_deadline,
                              platform_->now_ns() + header_->suspicion_ns);
@@ -415,12 +414,7 @@ Status Facility::pollset_wait(ProcessId pid, PollSetId psid, LnvcId* out,
       return Status::busy;
     }
   }
-  std::uint64_t deadline = kNoDeadline;
-  if (timeout_ns != kNoTimeout) {
-    const std::uint64_t now = platform_->now_ns();
-    deadline = now + timeout_ns;
-    if (deadline < now) deadline = kNoDeadline;  // saturate huge timeouts
-  }
+  const std::uint64_t deadline = platform_->deadline_after(timeout_ns);
   const detail::ReadyBits b = ready_bits(ps.rs);
   Status result = Status::timed_out;
   for (;;) {
@@ -463,7 +457,7 @@ Status Facility::pollset_wait(ProcessId pid, PollSetId psid, LnvcId* out,
       result = Status::ok;
       break;
     }
-    if (timeout_ns == 0) break;  // poll: one full pass, then timed_out
+    // A poll (deadline 0) ends after one full pass.
     if (deadline != kNoDeadline && platform_->now_ns() >= deadline) break;
     platform_->unlock(ps.lock);
     park_on_set(pid, b, deadline);

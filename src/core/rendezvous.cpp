@@ -4,10 +4,6 @@
 
 namespace mpf {
 
-namespace {
-constexpr std::uint64_t kNoDeadline = ~std::uint64_t{0};
-}  // namespace
-
 bool Rendezvous::await_state(std::uint32_t want, std::uint64_t deadline_ns) {
   Platform& p = *platform_;
   RendezvousCell& c = *cell_;
@@ -63,9 +59,7 @@ void Rendezvous::send(std::span<const std::byte> payload) {
 
 Status Rendezvous::send_for(std::span<const std::byte> payload,
                             std::uint64_t timeout_ns) {
-  std::uint64_t deadline = platform_->now_ns() + timeout_ns;
-  if (deadline < timeout_ns) deadline = kNoDeadline;  // saturate
-  return send_impl(payload, deadline);
+  return send_impl(payload, platform_->deadline_after(timeout_ns));
 }
 
 std::size_t Rendezvous::receive(std::span<std::byte> buffer,

@@ -21,14 +21,6 @@ Status Transport::send_v(std::span<const ConstBuffer> iov) {
   return send(staged.data(), staged.size());
 }
 
-Status Transport::send_timed(const void* data, std::size_t len,
-                             std::uint64_t timeout_ns) {
-  // Policies without a bounded path just block; callers that need the
-  // deadline honored probe caps().timed_send first.
-  (void)timeout_ns;
-  return send(data, len);
-}
-
 Status Transport::receive_view(MsgView* out) {
   (void)out;
   return Status::invalid_argument;  // probe caps().zero_copy_view first
@@ -46,13 +38,9 @@ std::vector<ConstBuffer> Transport::materialize(const MsgView& view) const {
 
 // --- LNVC ---------------------------------------------------------------
 
-Status LnvcTransport::send(const void* data, std::size_t len) {
-  return facility_->send(pid_, tx_, data, len);
-}
-
-Status LnvcTransport::send_timed(const void* data, std::size_t len,
-                                 std::uint64_t timeout_ns) {
-  return facility_->send_timed(pid_, tx_, data, len, timeout_ns);
+Status LnvcTransport::send(const void* data, std::size_t len,
+                           std::uint64_t timeout_ns) {
+  return facility_->send(pid_, tx_, data, len, timeout_ns);
 }
 
 Status LnvcTransport::send_v(std::span<const ConstBuffer> iov) {
@@ -84,16 +72,10 @@ std::vector<ConstBuffer> LnvcTransport::materialize(
 
 // --- Channel ------------------------------------------------------------
 
-Status ChannelTransport::send(const void* data, std::size_t len) {
-  const auto* p = static_cast<const std::byte*>(data);
-  if (!tx_.send({p, len})) return Status::invalid_argument;  // > capacity/2
-  return Status::ok;
-}
-
-Status ChannelTransport::send_timed(const void* data, std::size_t len,
-                                    std::uint64_t timeout_ns) {
-  const auto* p = static_cast<const std::byte*>(data);
-  return tx_.send_for({p, len}, timeout_ns);
+Status ChannelTransport::send(const void* data, std::size_t len,
+                              std::uint64_t timeout_ns) {
+  // invalid_argument for a record over capacity/2.
+  return tx_.send_for({static_cast<const std::byte*>(data), len}, timeout_ns);
 }
 
 Status ChannelTransport::receive(void* buf, std::size_t cap,
@@ -110,13 +92,8 @@ Status ChannelTransport::receive(void* buf, std::size_t cap,
 
 // --- Rendezvous ---------------------------------------------------------
 
-Status RendezvousTransport::send(const void* data, std::size_t len) {
-  tx_.send({static_cast<const std::byte*>(data), len});
-  return Status::ok;
-}
-
-Status RendezvousTransport::send_timed(const void* data, std::size_t len,
-                                       std::uint64_t timeout_ns) {
+Status RendezvousTransport::send(const void* data, std::size_t len,
+                                 std::uint64_t timeout_ns) {
   return tx_.send_for({static_cast<const std::byte*>(data), len},
                       timeout_ns);
 }

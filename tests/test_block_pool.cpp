@@ -351,7 +351,7 @@ TEST(BlockPool, DeathBetweenGatherAndEnqueueReturnsAMultiRunChain) {
       if (f.open_receive(1, "q", Protocol::fcfs, &rx) != Status::ok) return;
       char buf[20];
       std::size_t len = 0;
-      (void)f.receive_for(1, rx, buf, sizeof buf, &len, 1'000'000);
+      (void)f.receive(1, rx, buf, sizeof buf, &len, 1'000'000);
     });
     simulator.run();
     if (simulator.process_alive(0)) continue;

@@ -37,7 +37,7 @@ Config dir_config(std::uint32_t buckets, std::uint32_t lnvcs = 16) {
 void sim_sleep(Facility& f, ProcessId pid, LnvcId delay, std::uint64_t ns) {
   char b[8];
   std::size_t got = 0;
-  (void)f.receive_for(pid, delay, b, sizeof(b), &got, ns);
+  (void)f.receive(pid, delay, b, sizeof(b), &got, ns);
 }
 
 // ----------------------------------------------------- forced collisions
@@ -114,15 +114,11 @@ TEST(Directory, LengthFirstCompareDistinguishesPrefixNames) {
   ASSERT_EQ(f.open_receive(1, "pp", Protocol::fcfs, &rx_pp), Status::ok);
   ASSERT_EQ(f.open_receive(1, "ppp", Protocol::fcfs, &rx_ppp), Status::ok);
   ASSERT_EQ(f.send(0, id_of["pp"], "x", 1), Status::ok);
-  bool ready = false;
   char buf[8];
   std::size_t got = 0;
-  ASSERT_EQ(f.try_receive(1, rx_ppp, buf, sizeof buf, &got, &ready),
-            Status::ok);
-  EXPECT_FALSE(ready);
-  ASSERT_EQ(f.try_receive(1, rx_pp, buf, sizeof buf, &got, &ready),
-            Status::ok);
-  EXPECT_TRUE(ready);
+  ASSERT_EQ(f.receive(1, rx_ppp, buf, sizeof buf, &got, 0),
+            Status::timed_out);
+  ASSERT_EQ(f.receive(1, rx_pp, buf, sizeof buf, &got, 0), Status::ok);
 }
 
 // ------------------------------------------------------ freelist cycling
@@ -448,11 +444,11 @@ TEST(SimPollSet, ServerWakesOnceForEachOfManyClients) {
             ASSERT_TRUE(which.count(ready));
             char buf[32];
             std::size_t got = 0;
-            bool has = false;
-            ASSERT_EQ(f.try_receive(pid, ready, buf, sizeof buf, &got,
-                                    &has),
-                      Status::ok);
-            if (has) ++messages;
+            const Status st = f.receive(pid, ready, buf, sizeof buf, &got, 0);
+            if (st != Status::timed_out) {
+              ASSERT_EQ(st, Status::ok);
+              ++messages;
+            }
             std::uint32_t code = 0, count = 0;
             ASSERT_EQ(f.receive_pulse(pid, ready, &code, &count),
                       Status::ok);

@@ -79,7 +79,7 @@ struct IdleCpuTest : ::testing::Test {
   /// Send until a send would have to wait (pool or quota full).
   void fill() {
     int sent = 0;
-    while (f.send_timed(0, tx, payload.data(), kMsg, 0) == Status::ok) ++sent;
+    while (f.send(0, tx, payload.data(), kMsg, 0) == Status::ok) ++sent;
     ASSERT_GT(sent, 0);
   }
   void receive_one() {

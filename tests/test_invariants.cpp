@@ -129,9 +129,7 @@ TEST_F(InvariantsTest, PinCorruptionIsViewsViolation) {
   const LnvcId id = open_pair("conv");
   send_bytes(id, 12);
   MsgView view;
-  bool ready = false;
-  ASSERT_EQ(f.try_receive_view(1, id, &view, &ready), Status::ok);
-  ASSERT_TRUE(ready);
+  ASSERT_EQ(f.receive_view(1, id, &view, 0), Status::ok);
   detail::MsgHeader* m = InvariantOracle::msg_at(f, view.msg);
   ASSERT_NE(m, nullptr);
   ++m->pins;  // one armed view, two pins
@@ -210,7 +208,7 @@ TEST_F(InvariantsTest, WatchCorruptionIsWatchesViolation) {
   const LnvcId ids[] = {a, b};
   char buf[8];
   std::size_t len = 0, index = 0;
-  ASSERT_EQ(f.receive_any_for(1, ids, buf, sizeof buf, &len, &index, 0),
+  ASSERT_EQ(f.receive_any(1, ids, buf, sizeof buf, &len, &index, 0),
             Status::timed_out);
   InvariantReport clean = InvariantOracle::check(f, /*quiescent=*/true);
   ASSERT_TRUE(clean.ok()) << clean.summary();

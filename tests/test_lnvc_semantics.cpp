@@ -367,12 +367,9 @@ TEST_F(LnvcTest, TryReceiveReportsEmptiness) {
   const LnvcId rx = open_recv(1, "t", Protocol::fcfs);
   char buf[8];
   std::size_t len = 0;
-  bool ready = true;
-  EXPECT_EQ(f.try_receive(1, rx, buf, sizeof(buf), &len, &ready), Status::ok);
-  EXPECT_FALSE(ready);
+  EXPECT_EQ(f.receive(1, rx, buf, sizeof(buf), &len, 0), Status::timed_out);
   send_int(0, tx, 3);
-  EXPECT_EQ(f.try_receive(1, rx, buf, sizeof(buf), &len, &ready), Status::ok);
-  EXPECT_TRUE(ready);
+  EXPECT_EQ(f.receive(1, rx, buf, sizeof(buf), &len, 0), Status::ok);
   EXPECT_EQ(len, sizeof(int));
 }
 

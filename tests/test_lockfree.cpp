@@ -47,7 +47,7 @@ Config lockfree_config() {
 void sim_sleep(Facility& f, ProcessId pid, LnvcId delay, std::uint64_t ns) {
   char b[8];
   std::size_t got = 0;
-  (void)f.receive_for(pid, delay, b, sizeof(b), &got, ns);
+  (void)f.receive(pid, delay, b, sizeof(b), &got, ns);
 }
 
 // ------------------------------------------------------------- fast path

@@ -207,7 +207,7 @@ TEST(NumaChaos, SimKilledRemoteViewHolderConserved) {
           std::size_t len = 0;
           for (int i = 0; i < 64; ++i) {
             const Status s =
-                f.receive_for(0, noise_rx, &v, sizeof(v), &len, 2'000'000);
+                f.receive(0, noise_rx, &v, sizeof(v), &len, 2'000'000);
             if (s != Status::ok && s != Status::truncated) break;
           }
         } else {

@@ -87,17 +87,14 @@ TEST_F(QuotaTest, ShedNewestDropsSilently) {
   EXPECT_EQ(buf[0], 'a');
   ASSERT_EQ(drain_one(), Status::ok);
   EXPECT_EQ(buf[0], 'b');
-  bool ready = true;
-  ASSERT_EQ(f.try_receive(0, rx, buf, sizeof(buf), &len, &ready),
-            Status::ok);
-  EXPECT_FALSE(ready);
+  ASSERT_EQ(f.receive(0, rx, buf, sizeof(buf), &len, 0), Status::timed_out);
 }
 
 TEST_F(QuotaTest, SendTimedExpiresWhenParked) {
   open_pair(1, AdmissionPolicy::block);
   ASSERT_EQ(f.send(1, tx, buf, kMsg), Status::ok);  // quota now full
   rt::WallTimer timer;
-  EXPECT_EQ(f.send_timed(1, tx, buf, kMsg, 30'000'000), Status::timed_out);
+  EXPECT_EQ(f.send(1, tx, buf, kMsg, 30'000'000), Status::timed_out);
   const double waited = timer.elapsed_s();
   EXPECT_GE(waited, 0.025);
   EXPECT_LT(waited, 2.0);
@@ -112,9 +109,9 @@ TEST_F(QuotaTest, SendTimedExpiresWhenParked) {
 
 TEST_F(QuotaTest, ZeroTimeoutSendIsAPoll) {
   open_pair(1, AdmissionPolicy::block);
-  ASSERT_EQ(f.send_timed(1, tx, buf, kMsg, 0), Status::ok);
+  ASSERT_EQ(f.send(1, tx, buf, kMsg, 0), Status::ok);
   rt::WallTimer timer;
-  EXPECT_EQ(f.send_timed(1, tx, buf, kMsg, 0), Status::timed_out);
+  EXPECT_EQ(f.send(1, tx, buf, kMsg, 0), Status::timed_out);
   EXPECT_LT(timer.elapsed_s(), 1.0);
   // A poll never joins the park FIFO: no ticket taken, no park counted.
   EXPECT_EQ(f.stats().quota_parks, 0u);
@@ -122,7 +119,7 @@ TEST_F(QuotaTest, ZeroTimeoutSendIsAPoll) {
   ASSERT_EQ(f.lnvc_info(tx, &info), Status::ok);
   EXPECT_EQ(info.parked, 0u);
   ASSERT_EQ(drain_one(), Status::ok);
-  EXPECT_EQ(f.send_timed(1, tx, buf, kMsg, 0), Status::ok);
+  EXPECT_EQ(f.send(1, tx, buf, kMsg, 0), Status::ok);
 }
 
 TEST_F(QuotaTest, PolicySwitchWhileParkedEvictsParkedSenders) {
@@ -142,7 +139,7 @@ TEST_F(QuotaTest, PolicySwitchWhileParkedEvictsParkedSenders) {
   Status got = Status::ok;
   std::thread waiter([&] {
     char b[kMsg] = {'X'};
-    got = f.send_timed(2, tx2, b, kMsg, 20'000'000'000ull);
+    got = f.send(2, tx2, b, kMsg, 20'000'000'000ull);
   });
   rt::WallTimer timer;
   while (parked_count() != 1 && timer.elapsed_s() < 10.0) {
@@ -185,7 +182,7 @@ TEST_F(QuotaTest, BlockPolicyWakesParkedSendersInFifoOrder) {
   ASSERT_EQ(f.open_send(2, "q", &tx2), Status::ok);
   std::thread first([&] {
     char b[kMsg] = {'A'};
-    ASSERT_EQ(f.send_timed(2, tx2, b, kMsg, 20'000'000'000ull), Status::ok);
+    ASSERT_EQ(f.send(2, tx2, b, kMsg, 20'000'000'000ull), Status::ok);
     first_done = ++order;
   });
   wait_parked(1);  // `first` holds the head ticket before `second` parks
@@ -193,7 +190,7 @@ TEST_F(QuotaTest, BlockPolicyWakesParkedSendersInFifoOrder) {
   ASSERT_EQ(f.open_send(3, "q", &tx3), Status::ok);
   std::thread second([&] {
     char b[kMsg] = {'B'};
-    ASSERT_EQ(f.send_timed(3, tx3, b, kMsg, 20'000'000'000ull), Status::ok);
+    ASSERT_EQ(f.send(3, tx3, b, kMsg, 20'000'000'000ull), Status::ok);
     second_done = ++order;
   });
   wait_parked(2);
@@ -286,13 +283,13 @@ TEST_F(QuotaTest, ReceiveAnyForTimesOutAndPreservesRotation) {
   std::size_t index = 99;
 
   ASSERT_EQ(f.send(1, ta, buf, kMsg), Status::ok);
-  ASSERT_EQ(f.receive_any_for(0, ids, buf, sizeof(buf), &len, &index,
+  ASSERT_EQ(f.receive_any(0, ids, buf, sizeof(buf), &len, &index,
                               1'000'000'000ull),
             Status::ok);
   EXPECT_EQ(index, 0u);  // delivery moves the cursor past `a`
 
   rt::WallTimer timer;
-  EXPECT_EQ(f.receive_any_for(0, ids, buf, sizeof(buf), &len, &index,
+  EXPECT_EQ(f.receive_any(0, ids, buf, sizeof(buf), &len, &index,
                               30'000'000),
             Status::timed_out);
   EXPECT_GE(timer.elapsed_s(), 0.025);
@@ -303,11 +300,11 @@ TEST_F(QuotaTest, ReceiveAnyForTimesOutAndPreservesRotation) {
   // not re-bias the rotation.
   ASSERT_EQ(f.send(1, ta, buf, kMsg), Status::ok);
   ASSERT_EQ(f.send(1, tb, buf, kMsg), Status::ok);
-  ASSERT_EQ(f.receive_any_for(0, ids, buf, sizeof(buf), &len, &index,
+  ASSERT_EQ(f.receive_any(0, ids, buf, sizeof(buf), &len, &index,
                               1'000'000'000ull),
             Status::ok);
   EXPECT_EQ(index, 1u);
-  ASSERT_EQ(f.receive_any_for(0, ids, buf, sizeof(buf), &len, &index,
+  ASSERT_EQ(f.receive_any(0, ids, buf, sizeof(buf), &len, &index,
                               1'000'000'000ull),
             Status::ok);
   EXPECT_EQ(index, 0u);
@@ -439,7 +436,7 @@ Config sim_quota_config() {
 void sim_sleep(Facility& f, ProcessId pid, LnvcId delay, std::uint64_t ns) {
   char b[8];
   std::size_t got = 0;
-  (void)f.receive_for(pid, delay, b, sizeof(b), &got, ns);
+  (void)f.receive(pid, delay, b, sizeof(b), &got, ns);
 }
 
 TEST(SimOverload, DeadlineIsVirtualTimeExact) {
@@ -453,7 +450,7 @@ TEST(SimOverload, DeadlineIsVirtualTimeExact) {
         char b[kMsg] = {};
         ASSERT_EQ(f.send(pid, tx, b, kMsg), Status::ok);  // quota now full
         const std::uint64_t t0 = f.platform().now_ns();
-        ASSERT_EQ(f.send_timed(pid, tx, b, kMsg, 5'000'000),
+        ASSERT_EQ(f.send(pid, tx, b, kMsg, 5'000'000),
                   Status::timed_out);
         const std::uint64_t waited = f.platform().now_ns() - t0;
         // Virtual time: the park wakes at the deadline, never before, and
@@ -486,7 +483,7 @@ TEST(SimOverload, KilledParkedSenderIsReapedAndSuccessorAdmits) {
                     Status::ok);
           sim_sleep(f, pid, delay, 100'000'000);
           for (int i = 0; i < 30 && received < 2; ++i) {
-            const Status s = f.receive_for(pid, rx, b, sizeof(b), &got,
+            const Status s = f.receive(pid, rx, b, sizeof(b), &got,
                                            20'000'000);
             if (s == Status::ok) ++received;
           }
@@ -501,7 +498,7 @@ TEST(SimOverload, KilledParkedSenderIsReapedAndSuccessorAdmits) {
           LnvcId tx = kInvalidLnvc;
           sim_sleep(f, pid, delay, 40'000'000);
           ASSERT_EQ(f.open_send(pid, "k", &tx), Status::ok);
-          successor_status = f.send_timed(pid, tx, b, kMsg,
+          successor_status = f.send(pid, tx, b, kMsg,
                                           2'000'000'000ull);
           (void)f.close_send(pid, tx);
         }
@@ -619,16 +616,15 @@ TEST(TimedTransport, ChannelAdapterHonorsDeadline) {
   std::vector<std::byte> mem(Channel::footprint(256));
   Channel ch = Channel::create(mem.data(), 256);
   ChannelTransport t(ch, ch);
-  EXPECT_TRUE(t.caps().timed_send);
   const std::vector<std::byte> payload(kMsg, std::byte{0x21});
-  while (t.send_timed(payload.data(), payload.size(), 0) == Status::ok) {
+  while (t.send(payload.data(), payload.size(), 0) == Status::ok) {
   }
-  EXPECT_EQ(t.send_timed(payload.data(), payload.size(), 10'000'000),
+  EXPECT_EQ(t.send(payload.data(), payload.size(), 10'000'000),
             Status::timed_out);
   RecvResult r;
   std::byte in[kMsg];
   ASSERT_EQ(t.receive(in, sizeof(in), &r), Status::ok);
-  EXPECT_EQ(t.send_timed(payload.data(), payload.size(), 0), Status::ok);
+  EXPECT_EQ(t.send(payload.data(), payload.size(), 0), Status::ok);
 }
 
 TEST(TimedTransport, RendezvousSendForRollsBackOnTimeout) {
@@ -657,9 +653,8 @@ TEST(TimedTransport, RendezvousSendForRollsBackOnTimeout) {
 TEST(TimedTransport, RendezvousAdapterHonorsDeadline) {
   RendezvousCell cell{};
   RendezvousTransport t{Rendezvous(cell), Rendezvous(cell)};
-  EXPECT_TRUE(t.caps().timed_send);
   const std::vector<std::byte> payload(kMsg, std::byte{0x33});
-  EXPECT_EQ(t.send_timed(payload.data(), payload.size(), 10'000'000),
+  EXPECT_EQ(t.send(payload.data(), payload.size(), 10'000'000),
             Status::timed_out);
   std::thread receiver([&] {
     RecvResult r;
@@ -667,7 +662,7 @@ TEST(TimedTransport, RendezvousAdapterHonorsDeadline) {
     EXPECT_EQ(t.receive(in, sizeof(in), &r), Status::ok);
     EXPECT_EQ(r.length, kMsg);
   });
-  EXPECT_EQ(t.send_timed(payload.data(), payload.size(), 5'000'000'000ull),
+  EXPECT_EQ(t.send(payload.data(), payload.size(), 5'000'000'000ull),
             Status::ok);
   receiver.join();
 }
@@ -682,10 +677,9 @@ TEST(TimedTransport, LnvcAdapterRoutesThroughFacilityDeadline) {
   ASSERT_EQ(f.set_admission(0, tx, 1, 0, AdmissionPolicy::block),
             Status::ok);
   LnvcTransport t(f, 0, tx, rx);
-  EXPECT_TRUE(t.caps().timed_send);
   const std::vector<std::byte> payload(kMsg, std::byte{0x44});
-  ASSERT_EQ(t.send_timed(payload.data(), payload.size(), 0), Status::ok);
-  EXPECT_EQ(t.send_timed(payload.data(), payload.size(), 10'000'000),
+  ASSERT_EQ(t.send(payload.data(), payload.size(), 0), Status::ok);
+  EXPECT_EQ(t.send(payload.data(), payload.size(), 10'000'000),
             Status::timed_out);
   EXPECT_EQ(f.stats().sends_timed_out, 1u);
 }

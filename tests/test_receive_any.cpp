@@ -284,7 +284,7 @@ TEST_F(ReceiveAnyTest, ListedCircuitInAPeersPollSetDelivers) {
   LnvcId ready = kInvalidLnvc;
   ASSERT_EQ(f.pollset_wait(1, ps, &ready, 0), Status::ok);
   EXPECT_EQ(ready, rx_peer);
-  ASSERT_EQ(f.receive_any_for(2, ids, &got, sizeof(got), &len, &index, 0),
+  ASSERT_EQ(f.receive_any(2, ids, &got, sizeof(got), &len, &index, 0),
             Status::ok);
   EXPECT_EQ(index, 0u);
   EXPECT_EQ(got, 11);
@@ -328,9 +328,7 @@ TEST_F(ReceiveAnyTest, ListedCircuitInTheCallersOwnPollSetDelivers) {
   LnvcId ready = kInvalidLnvc;
   ASSERT_EQ(f.pollset_wait(1, ps, &ready, 0), Status::ok);
   EXPECT_EQ(ready, a);
-  bool has = false;
-  ASSERT_EQ(f.try_receive(1, a, &got, sizeof(got), &len, &has), Status::ok);
-  ASSERT_TRUE(has);
+  ASSERT_EQ(f.receive(1, a, &got, sizeof(got), &len, 0), Status::ok);
   EXPECT_EQ(got, 2);
   EXPECT_EQ(f.pollset_wait(1, ps, &ready, 0), Status::timed_out);
 
@@ -371,7 +369,7 @@ TEST_F(ReceiveAnyTest, TwoCallersOnOneFcfsCircuitTakeEachMessageOnce) {
       for (;;) {
         int v = 0;
         std::size_t len = 0, index = 9;
-        const Status st = f.receive_any_for(pid, ids, &v, sizeof(v), &len,
+        const Status st = f.receive_any(pid, ids, &v, sizeof(v), &len,
                                             &index, 10'000'000'000ull);
         ASSERT_EQ(st, Status::ok) << "pid " << pid << " lost a wake";
         ASSERT_EQ(index, 1u);
@@ -409,7 +407,7 @@ TEST_F(ReceiveAnyTest, IdsMayChangeBetweenCalls) {
   int got = 0;
   std::size_t len = 0, index = 9;
   const auto poll = [&](std::span<const LnvcId> ids) {
-    return f.receive_any_for(1, ids, &got, sizeof(got), &len, &index, 0);
+    return f.receive_any(1, ids, &got, sizeof(got), &len, &index, 0);
   };
   const LnvcId abc[] = {rx[0], rx[1], rx[2]};
   EXPECT_EQ(poll(abc), Status::timed_out);  // arms a, b, c
@@ -484,7 +482,7 @@ TEST_F(ReceiveAnyTest, ZeroTimeoutDeliversAnAlreadyReadyCircuit) {
     int got = 0;
     std::size_t len = 0, index = 9;
     // First call (arming pass) and a repeat call over the armed list.
-    ASSERT_EQ(f.receive_any_for(1, ids, &got, sizeof(got), &len, &index, 0),
+    ASSERT_EQ(f.receive_any(1, ids, &got, sizeof(got), &len, &index, 0),
               Status::ok);
     EXPECT_EQ(index, 1u);
     EXPECT_EQ(got, v);
@@ -524,7 +522,7 @@ TEST_F(ReceiveAnyTest, ReapOfTheLastSendersOrphansABlockedCall) {
   EXPECT_EQ(f.receive_any(1, permuted, &v, sizeof(v), &len, &index),
             Status::lnvc_orphaned);
   const LnvcId repeated[] = {a, b, a};
-  EXPECT_EQ(f.receive_any_for(1, repeated, &v, sizeof(v), &len, &index,
+  EXPECT_EQ(f.receive_any(1, repeated, &v, sizeof(v), &len, &index,
                               1'000'000'000),
             Status::lnvc_orphaned);
   EXPECT_EQ(f.stats().orphaned_receives, 4u);
@@ -532,7 +530,7 @@ TEST_F(ReceiveAnyTest, ReapOfTheLastSendersOrphansABlockedCall) {
   // and delivers what that sender sends.
   LnvcId tx_b2;
   ASSERT_EQ(f.open_send(3, "b", &tx_b2), Status::ok);
-  EXPECT_EQ(f.receive_any_for(1, ids, &v, sizeof(v), &len, &index, 0),
+  EXPECT_EQ(f.receive_any(1, ids, &v, sizeof(v), &len, &index, 0),
             Status::timed_out);
   const int msg = 7;
   ASSERT_EQ(f.send(3, tx_b2, &msg, sizeof(msg)), Status::ok);
@@ -576,7 +574,7 @@ TEST(ReceiveAnySim, KilledWhileBlockedLeavesNoWatchBehind) {
                   Status::ok);
         apps::startup_barrier(f, pid, 3, "join");
         // Let both callers park and the kill land mid-park.
-        (void)f.receive_for(pid, delay, buf, sizeof buf, &len, 600'000'000);
+        (void)f.receive(pid, delay, buf, sizeof buf, &len, 600'000'000);
         for (int i = 0; i < kMsgs; ++i) {
           ASSERT_EQ(f.send(pid, tx, buf, 8), Status::ok);
         }

@@ -56,7 +56,7 @@ ChaosMetrics run_killed_holder(const Config& config) {
       std::size_t len = 0;
       for (int i = 0; i < 64; ++i) {
         const Status s =
-            f.receive_for(0, noise_rx, &v, sizeof(v), &len, 2'000'000);
+            f.receive(0, noise_rx, &v, sizeof(v), &len, 2'000'000);
         if (s != Status::ok && s != Status::truncated) break;
       }
     } else {

@@ -103,9 +103,7 @@ TEST_F(ViewTest, TryReceiveViewReportsEmpty) {
   const LnvcId rx = open_recv(1, "empty");
   (void)open_send(0, "empty");
   MsgView view;
-  bool ready = true;
-  ASSERT_EQ(f.try_receive_view(1, rx, &view, &ready), Status::ok);
-  EXPECT_FALSE(ready);
+  ASSERT_EQ(f.receive_view(1, rx, &view, 0), Status::timed_out);
   EXPECT_FALSE(view.valid());
 }
 
@@ -308,9 +306,9 @@ TEST_F(ViewTest, ConcurrentFcfsViewClaimsDeliverEachMessageOnce) {
       const auto pid = static_cast<ProcessId>(t + 1);
       while (claimed.load(std::memory_order_acquire) < kMsgs) {
         MsgView view;
-        bool ready = false;
-        ASSERT_EQ(f.try_receive_view(pid, rx[t], &view, &ready), Status::ok);
-        if (!ready) continue;
+        const Status st = f.receive_view(pid, rx[t], &view, 0);
+        if (st == Status::timed_out) continue;
+        ASSERT_EQ(st, Status::ok);
         claimed.fetch_add(1, std::memory_order_acq_rel);
         ASSERT_EQ(view.length, sizeof(int));
         int v = -1;
@@ -526,7 +524,7 @@ TEST_F(ViewTest, MessageViewRaiiReleasesOnScopeExit) {
   const BlockAudit audit = f.block_audit();
   EXPECT_TRUE(audit.consistent());
   EXPECT_EQ(audit.blocks_queued, 0u);
-  MessageView none = rx.try_receive_view();
+  MessageView none = rx.receive_view(0);
   EXPECT_FALSE(none.valid());
 }
 
