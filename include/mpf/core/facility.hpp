@@ -192,6 +192,12 @@ struct PoolShardInfo {
   std::size_t free_runs = 0;
   std::size_t largest_free_run = 0;
   std::size_t free_msgs = 0;
+  /// Block geometry: bytes per link node, payload bytes per block, and
+  /// the arena range [payload_lo, payload_hi) of the payload array.
+  std::size_t link_stride = 0;
+  std::size_t payload_bytes = 0;
+  shm::Offset payload_lo = 0;
+  shm::Offset payload_hi = 0;
   std::uint64_t lock_acquisitions = 0;
   std::uint64_t lock_wait_ns = 0;
   std::uint64_t steals = 0;
@@ -586,6 +592,13 @@ class Facility {
   [[nodiscard]] std::uint32_t node_of_offset(shm::Offset off) const noexcept;
   /// Shard whose block range holds `block` (0 when none does).
   [[nodiscard]] std::uint32_t owner_shard(shm::Offset block) const noexcept;
+  /// Walk the first `bytes` payload bytes of the block chain at `head` run
+  /// by run across the shards' ranges: fn(payload offset, byte count).
+  template <class Fn>
+  void for_each_run(shm::Offset head, std::size_t bytes, Fn&& fn) const;
+  /// Copy the gather list `iov` (`len` bytes in all) into the chain.
+  void copy_to_chain(shm::Offset chain, std::span<const ConstBuffer> iov,
+                     std::size_t len) const;
   void lock_shard(detail::PoolShard& s, ProcessId pid);
   /// Pop a message header plus a `need`-block chain for `pid`, preferring
   /// its magazine, then the target node's shards (pid's home shard with

@@ -36,7 +36,9 @@ namespace mpf {
 enum class Invariant : std::uint32_t {
   conservation,  ///< block/slab ledger across pools, FIFOs, journals;
                  ///  shard maps (free bits vs. counts, seam links, no
-                 ///  free block reachable from a FIFO/magazine/journal)
+                 ///  free block reachable from a FIFO/magazine/journal;
+                 ///  payload arrays inside the arena, overlapping no
+                 ///  other carve)
   fifo,          ///< per-circuit FIFO structure: seq order, head/tail,
                  ///  n_queued, connection counts, chain shape
   ledger,        ///< per-circuit quota ledger vs. recomputed charges

@@ -99,17 +99,10 @@ struct alignas(64) PollSet {
   ReadySet rs;
 };
 
-/// One message-payload block: a link word followed by `block_payload`
-/// bytes of data.  Node size in the free list is sizeof(Block) + payload.
+/// One message block's link node.  Its `block_payload` bytes of data live
+/// out of line, in its shard's payload array (shm::RunAllocator).
 struct Block {
-  shm::Offset next;  ///< next block of this message (also free-list link)
-  // payload bytes follow
-  [[nodiscard]] std::byte* data() noexcept {
-    return reinterpret_cast<std::byte*>(this + 1);
-  }
-  [[nodiscard]] const std::byte* data() const noexcept {
-    return reinterpret_cast<const std::byte*>(this + 1);
-  }
+  shm::Offset next;  ///< next block of this message (also free-run link)
 };
 
 /// Message header (paper §3.1: length, tail pointer, next-message link),

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstring>
 #include <span>
@@ -407,9 +408,18 @@ inline bool receive_any_for(Facility& facility, ProcessId pid,
                             std::span<ReceivePort* const> ports,
                             std::span<std::byte> buffer,
                             std::uint64_t timeout_ns, ReceivedAny* out) {
-  std::vector<LnvcId> ids;
-  ids.reserve(ports.size());
-  for (const ReceivePort* p : ports) ids.push_back(p->id());
+  // The id list lives on the stack for up to kInlineIds ports (no heap
+  // allocation per call); only larger sets pay for a vector.
+  constexpr std::size_t kInlineIds = 64;
+  std::array<LnvcId, kInlineIds> inline_ids;
+  std::vector<LnvcId> heap_ids;
+  std::span<LnvcId> ids(inline_ids.data(),
+                        std::min(ports.size(), kInlineIds));
+  if (ports.size() > kInlineIds) {
+    heap_ids.resize(ports.size());
+    ids = heap_ids;
+  }
+  for (std::size_t i = 0; i < ports.size(); ++i) ids[i] = ports[i]->id();
   std::size_t len = 0;
   std::size_t index = 0;
   const Status s = facility.receive_any(pid, ids, buffer.data(),

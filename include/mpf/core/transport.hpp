@@ -60,9 +60,12 @@ class Transport {
   /// polls, kNoTimeout (the default) waits forever.
   virtual Status send(const void* data, std::size_t len,
                       std::uint64_t timeout_ns = kNoTimeout) = 0;
-  /// Blocking scatter-gather send.  The default coalesces into one
-  /// contiguous staging buffer — policies with native gather override it.
-  virtual Status send_v(std::span<const ConstBuffer> iov);
+  /// Scatter-gather send, under the same timeout contract as send.  The
+  /// default coalesces into one contiguous staging buffer and calls send
+  /// (so the channel and rendezvous adapters bound it the same way) —
+  /// policies with native gather override it.
+  virtual Status send_v(std::span<const ConstBuffer> iov,
+                        std::uint64_t timeout_ns = kNoTimeout);
   /// Blocking copying receive.
   virtual Status receive(void* buf, std::size_t cap, RecvResult* out) = 0;
 
@@ -92,7 +95,8 @@ class LnvcTransport final : public Transport {
   }
   Status send(const void* data, std::size_t len,
               std::uint64_t timeout_ns = kNoTimeout) override;
-  Status send_v(std::span<const ConstBuffer> iov) override;
+  Status send_v(std::span<const ConstBuffer> iov,
+                std::uint64_t timeout_ns = kNoTimeout) override;
   Status receive(void* buf, std::size_t cap, RecvResult* out) override;
   Status receive_view(MsgView* out) override;
   Status release_view(MsgView* view) override;

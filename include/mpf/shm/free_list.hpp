@@ -26,8 +26,8 @@ namespace mpf::shm {
 /// free; node contents are otherwise untouched.  Zero-init ready.
 class FreeList {
  public:
-  /// Node-size floor of every arena pool (blocks included): at most two
-  /// nodes share a 64-byte line.
+  /// Node-size floor of the free-list pools: at most two nodes share a
+  /// 64-byte line.
   static constexpr std::size_t kMinNodeBytes = 32;
 
   FreeList() noexcept = default;

@@ -9,6 +9,14 @@
 // over the one contiguous range it carved, so freed neighbours merge back
 // into runs and a chain is handed out as a few address-ordered runs.
 //
+// Payload bytes live out of line.  Next to the link range the allocator
+// carves a parallel payload array in which node i's bytes sit at
+// payload_base + i * payload_bytes, so the bytes of an address-ordered
+// run are one contiguous stretch.  run_at and for_each_run walk a chain
+// run by run (a run continues while a link names node + stride): copies
+// pay one memcpy per run instead of one per block, and this header is the
+// one place that knows where a block's bytes live.
+//
 // Seam-link invariant: the link word of every *free* block names its
 // address successor (node + stride, even for the last node).  A run of
 // free blocks is therefore already a well-formed chain; pop_chain writes
@@ -25,6 +33,7 @@
 // peeks and statistics scans are race-free.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -47,9 +56,18 @@ class RunAllocator {
   RunAllocator(const RunAllocator&) = delete;
   RunAllocator& operator=(const RunAllocator&) = delete;
 
+  /// One address-ordered run of a chain inside this allocator's range.
+  struct Run {
+    std::size_t blocks = 0;          ///< nodes in the run
+    Offset payload = kNullOffset;    ///< payload bytes of its first node
+    Offset next = kNullOffset;       ///< link that follows its last node
+  };
+
   /// Allocate `count` nodes of `node_bytes` each (rounded up to 8) as one
-  /// contiguous range, plus its bitmap, all free.  Called once from init.
-  void carve(Arena& arena, std::size_t node_bytes, std::size_t count);
+  /// contiguous range, plus its bitmap, all free, and a parallel array of
+  /// `payload_bytes` per node (none when 0).  Called once from init.
+  void carve(Arena& arena, std::size_t node_bytes, std::size_t count,
+             std::size_t payload_bytes = 0);
 
   /// Take up to `want` nodes as a null-terminated chain linked through
   /// first words: from the first free run past the cursor that holds them
@@ -79,6 +97,21 @@ class RunAllocator {
   [[nodiscard]] Offset end() const noexcept {
     return base_ + capacity_ * stride_;
   }
+  /// The payload array: node i's bytes at payload_base() + i * payload_bytes().
+  [[nodiscard]] std::size_t payload_bytes() const noexcept { return payload_; }
+  [[nodiscard]] Offset payload_base() const noexcept { return payload_base_; }
+  [[nodiscard]] Offset payload_end() const noexcept {
+    return payload_base_ + capacity_ * payload_;
+  }
+  [[nodiscard]] Offset payload_of(Offset node) const noexcept {
+    return payload_base_ + index_of(node) * payload_;
+  }
+
+  /// The run of the chain at `node` (which this range must contain): up to
+  /// `max` nodes (at least one) while each link names its address
+  /// successor inside the range.
+  [[nodiscard]] Run run_at(const Arena& arena, Offset node,
+                           std::size_t max) const noexcept;
 
   /// Node index <-> offset over the carved range.
   [[nodiscard]] Offset node(std::size_t index) const noexcept {
@@ -123,9 +156,32 @@ class RunAllocator {
   std::atomic<std::uint64_t> count_{0};
   Offset base_ = kNullOffset;  ///< first node of the carved range
   Offset map_ = kNullOffset;   ///< bitmap: bit i set = node i free
+  Offset payload_base_ = kNullOffset;  ///< payload array (node order)
   std::uint64_t stride_ = 0;
+  std::uint64_t payload_ = 0;  ///< payload bytes per node
   std::uint64_t capacity_ = 0;
   std::uint64_t cursor_ = 0;   ///< next-fit start (node index)
 };
+
+/// Walk the first `bytes` payload bytes of the chain at `head` run by run,
+/// calling fn(payload offset, byte count) once per run.  `owner(node)`
+/// names the allocator whose range holds `node`; it is asked only when a
+/// chain leaves the current range (a seam into a stolen stretch).
+template <class Owner, class Fn>
+void for_each_run(const Arena& arena, Offset head, std::size_t bytes,
+                  Owner&& owner, Fn&& fn) {
+  const RunAllocator* runs = nullptr;
+  Offset node = head;
+  while (bytes > 0) {
+    if (runs == nullptr || !runs->contains(node)) runs = &owner(node);
+    const std::size_t per = runs->payload_bytes();
+    const RunAllocator::Run run =
+        runs->run_at(arena, node, (bytes + per - 1) / per);
+    const std::size_t n = std::min(bytes, run.blocks * per);
+    fn(run.payload, n);
+    bytes -= n;
+    node = run.next;
+  }
+}
 
 }  // namespace mpf::shm

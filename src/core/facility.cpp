@@ -24,10 +24,6 @@ std::size_t node_bytes(std::size_t object_bytes) {
   return std::max(align8(object_bytes), shm::FreeList::kMinNodeBytes);
 }
 
-std::size_t block_node_bytes(std::uint32_t payload) {
-  return node_bytes(sizeof(detail::Block) + payload);
-}
-
 /// u64 words in one ready set's carve: summary, ready and member bitmaps.
 std::size_t ready_set_words(std::uint32_t max_lnvcs) {
   const std::size_t words = (std::size_t{max_lnvcs} + 63) / 64;
@@ -164,7 +160,8 @@ Config Config::resolved() const noexcept {
   if (c.arena_bytes == 0) {
     std::size_t bytes = 4096;  // arena + facility headers, slack
     bytes += static_cast<std::size_t>(c.max_lnvcs) * sizeof(detail::LnvcDesc);
-    bytes += c.message_blocks * (block_node_bytes(c.block_payload) + 8);
+    // Per block: its link node, its payload bytes, slack for the bitmap.
+    bytes += c.message_blocks * (sizeof(detail::Block) + c.block_payload + 8);
     bytes += c.slab_count * (node_bytes(c.slab_bytes) + 8);
     bytes += c.message_headers * node_bytes(sizeof(detail::MsgHeader));
     bytes += c.connections * node_bytes(sizeof(detail::Connection));
@@ -183,9 +180,9 @@ Config Config::resolved() const noexcept {
                  sizeof(detail::ReadySet) +
              static_cast<std::size_t>(c.max_pollsets + c.max_processes) *
                  (ready_set_words(c.max_lnvcs) * 8 + 64);
-    // One 64-byte alignment gap per carve (blocks, their bitmap and the
-    // header list per shard, one slab sub-pool per node).
-    bytes += (3 * static_cast<std::size_t>(c.pool_shards) +
+    // One 64-byte alignment gap per carve (links, their bitmap, payloads
+    // and the header list per shard, one slab sub-pool per node).
+    bytes += (4 * static_cast<std::size_t>(c.pool_shards) +
               static_cast<std::size_t>(c.numa_nodes) + 4) * 64;
     bytes += bytes / 4 + 65536;  // alignment waste + headroom
     c.arena_bytes = bytes;
@@ -250,8 +247,8 @@ Facility Facility::create(const Config& config, shm::Region& region,
 
   // Split the block and message-header pools across the shards; the first
   // (total % n) shards absorb the remainder.  Shard i serves node
-  // i & node_mask, so its block range is bound to (and attributed to)
-  // that node.
+  // i & node_mask, so its link and payload ranges are bound to (and
+  // attributed to) that node.
   hdr->shards = arena.make_array<detail::PoolShard>(c.pool_shards);
   auto* sh = static_cast<detail::PoolShard*>(arena.raw(hdr->shards));
   const std::uint32_t n = c.pool_shards;
@@ -260,11 +257,14 @@ Facility Facility::create(const Config& config, shm::Region& region,
         c.message_blocks / n + (i < c.message_blocks % n ? 1 : 0);
     const std::size_t msgs_i =
         c.message_headers / n + (i < c.message_headers % n ? 1 : 0);
-    sh[i].blocks.carve(arena, block_node_bytes(c.block_payload), blocks_i);
+    shm::RunAllocator& blocks = sh[i].blocks;
+    blocks.carve(arena, sizeof(detail::Block), blocks_i, c.block_payload);
     sh[i].msgs.carve(arena, node_bytes(sizeof(detail::MsgHeader)), msgs_i);
     if (c.numa_nodes > 1 && blocks_i > 0) {
-      numa_bind_range(arena.raw(sh[i].blocks.base()),
-                      sh[i].blocks.end() - sh[i].blocks.base(),
+      numa_bind_range(arena.raw(blocks.base()), blocks.end() - blocks.base(),
+                      i & hdr->node_mask);
+      numa_bind_range(arena.raw(blocks.payload_base()),
+                      blocks.payload_end() - blocks.payload_base(),
                       i & hdr->node_mask);
     }
   }

@@ -21,6 +21,7 @@
 #include <cstring>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "mpf/shm/arena.hpp"
 
@@ -954,6 +955,58 @@ InvariantReport InvariantOracle::check(const Facility& f, bool quiescent) {
                         format_u64(first_bad) + ")");
     }
     self->platform_->unlock(s.lock);
+  }
+  // --- block geometry ---------------------------------------------------
+  // Each shard's payload array holds block_payload bytes per block, lies
+  // inside the arena's carved bytes, and overlaps no other carve the
+  // oracle can name: any shard's link range or payload array, or a slab
+  // sub-pool's range.  (Fixed at create; no lock needed.)
+  {
+    struct Carve {
+      shm::Offset lo, hi;
+      std::string what;
+    };
+    std::vector<Carve> carves;
+    for (std::uint32_t i = 0; i < h.n_shards; ++i) {
+      const shm::RunAllocator& runs = f.shards()[i].blocks;
+      const std::string shard = "shard " + format_u64(i);
+      carves.push_back({runs.base(), runs.end(), shard + "'s link range"});
+      carves.push_back({runs.payload_base(), runs.payload_end(),
+                        shard + "'s payload array"});
+    }
+    for (std::uint32_t nd = 0; nd < h.numa_nodes; ++nd) {
+      const detail::SlabPool& sp = f.slab_pools()[nd];
+      carves.push_back({sp.range_lo, sp.range_hi,
+                        "node " + format_u64(nd) + "'s slab range"});
+    }
+    for (std::uint32_t i = 0; i < h.n_shards; ++i) {
+      const shm::RunAllocator& runs = f.shards()[i].blocks;
+      if (runs.capacity() == 0) continue;
+      const shm::Offset lo = runs.payload_base();
+      const shm::Offset hi = runs.payload_end();
+      const std::string what = "shard " + format_u64(i) + ": payload array [" +
+                               format_u64(lo) + ", " + format_u64(hi) + ")";
+      if (runs.payload_bytes() != h.block_payload) {
+        c.fail_global(Invariant::conservation,
+                      what + " holds " + format_u64(runs.payload_bytes()) +
+                          " bytes per block, not " +
+                          format_u64(h.block_payload));
+      }
+      if (lo < sizeof(shm::ArenaHeader) || hi > f.arena_.used()) {
+        c.fail_global(Invariant::conservation,
+                      what + " lies outside the arena's " +
+                          format_u64(f.arena_.used()) + " carved bytes");
+      }
+      for (std::size_t k = 0; k < carves.size(); ++k) {
+        const Carve& o = carves[k];
+        if (k == 2 * i + 1 || o.lo == o.hi) continue;  // itself; empty
+        if (lo < o.hi && o.lo < hi) {
+          c.fail_global(Invariant::conservation,
+                        what + " overlaps " + o.what + " [" +
+                            format_u64(o.lo) + ", " + format_u64(o.hi) + ")");
+        }
+      }
+    }
   }
   for (ProcessId p = 0; p < h.max_processes; ++p) {
     detail::ProcCache& cache = f.caches()[p];

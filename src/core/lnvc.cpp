@@ -23,32 +23,6 @@ std::size_t blocks_for(std::size_t len, std::uint32_t payload) {
   return payload == 0 ? 0 : (len + payload - 1) / payload;
 }
 
-/// Copy the gather list `iov` into the block chain starting at `chain`.
-void gather_to_chain(const shm::Arena& arena, shm::Offset chain,
-                     std::size_t payload, std::span<const ConstBuffer> iov) {
-  std::byte* bp = nullptr;
-  std::size_t room = 0;
-  shm::Offset b_off = chain;
-  for (const ConstBuffer& io : iov) {
-    const auto* src = static_cast<const std::byte*>(io.data);
-    std::size_t left = io.len;
-    while (left > 0) {
-      if (room == 0) {
-        auto* b = static_cast<detail::Block*>(arena.raw(b_off));
-        bp = b->data();
-        room = payload;
-        b_off = b->next;
-      }
-      const std::size_t chunk = std::min(room, left);
-      std::memcpy(bp, src, chunk);
-      bp += chunk;
-      src += chunk;
-      room -= chunk;
-      left -= chunk;
-    }
-  }
-}
-
 /// Slot `s`'s entry in an open-addressed AnyMemo table, or the empty entry
 /// where it would go.
 detail::AnyMemo::Entry& memo_entry(std::vector<detail::AnyMemo::Entry>& t,
@@ -62,6 +36,38 @@ detail::AnyMemo::Entry& memo_entry(std::vector<detail::AnyMemo::Entry>& t,
 }
 
 }  // namespace
+
+template <class Fn>
+void Facility::for_each_run(shm::Offset head, std::size_t bytes,
+                            Fn&& fn) const {
+  shm::for_each_run(
+      arena_, head, bytes,
+      [this](shm::Offset b) -> const shm::RunAllocator& {
+        return shards()[owner_shard(b)].blocks;
+      },
+      fn);
+}
+
+void Facility::copy_to_chain(shm::Offset chain,
+                             std::span<const ConstBuffer> iov,
+                             std::size_t len) const {
+  const ConstBuffer* io = iov.data();
+  std::size_t at = 0;  // bytes of *io already copied
+  for_each_run(chain, len, [&](shm::Offset payload, std::size_t n) {
+    auto* dst = static_cast<std::byte*>(arena_.raw(payload));
+    while (n > 0) {
+      while (at == io->len) {  // skip spent (and empty) pieces
+        ++io;
+        at = 0;
+      }
+      const std::size_t chunk = std::min(n, io->len - at);
+      std::memcpy(dst, static_cast<const std::byte*>(io->data) + at, chunk);
+      dst += chunk;
+      at += chunk;
+      n -= chunk;
+    }
+  });
+}
 
 void Facility::reclaim(ProcessId pid, detail::LnvcDesc& d) {
   // Recycle from the front of the FIFO while the head message has been
@@ -381,7 +387,7 @@ bool Facility::fast_send(ProcessId pid, detail::LnvcDesc& d, LnvcId id,
   m->last_block = chain_tail;
   m->flags = 0;
   m->next_msg = shm::kNullOffset;
-  gather_to_chain(arena_, chain, header_->block_payload, iov);
+  copy_to_chain(chain, iov, len);
   platform_->on_buffer_alloc(sizeof(detail::MsgHeader) +
                              need * (sizeof(detail::Block) +
                                      header_->block_payload));
@@ -826,7 +832,7 @@ Status Facility::send_impl(ProcessId pid, LnvcId id,
       dst += io.len;
     }
   } else {
-    gather_to_chain(arena_, chain, header_->block_payload, iov);
+    copy_to_chain(chain, iov, len);
   }
   const std::size_t footprint =
       sizeof(detail::MsgHeader) +
@@ -1331,15 +1337,10 @@ Status Facility::receive_impl(ProcessId pid, LnvcId id, void* buf,
     platform_->charge_copy_nodes(m->length, 0, node_of_offset(m->first_block),
                                  pslot(pid).node, pslot(pid).node);
   } else {
-    shm::Offset b_off = m->first_block;
-    while (copied < want) {
-      const auto* b = static_cast<const detail::Block*>(arena_.raw(b_off));
-      const std::size_t chunk =
-          std::min<std::size_t>(header_->block_payload, want - copied);
-      std::memcpy(dst + copied, b->data(), chunk);
-      copied += chunk;
-      b_off = b->next;
-    }
+    for_each_run(m->first_block, want, [&](shm::Offset p, std::size_t n) {
+      std::memcpy(dst + copied, arena_.raw(p), n);
+      copied += n;
+    });
     platform_->charge_copy_nodes(m->length, m->nblocks,
                                  node_of_offset(m->first_block),
                                  pslot(pid).node, pslot(pid).node);
@@ -1421,18 +1422,16 @@ Status Facility::receive_view_impl(ProcessId pid, LnvcId id, MsgView* out,
     out->spans.push_back(
         ViewSpan{shm::Ref<const std::byte>{m->first_block}, m->length});
   } else {
+    // One span per block, as the paper's chain presents it.
     out->spans.reserve(m->nblocks);
-    shm::Offset b_off = m->first_block;
-    std::size_t left = m->length;
-    while (left > 0) {
-      const auto* b = static_cast<const detail::Block*>(arena_.raw(b_off));
-      const std::size_t chunk =
-          std::min<std::size_t>(header_->block_payload, left);
-      out->spans.push_back(ViewSpan{
-          shm::Ref<const std::byte>{b_off + sizeof(detail::Block)}, chunk});
-      left -= chunk;
-      b_off = b->next;
-    }
+    const std::size_t per = header_->block_payload;
+    for_each_run(m->first_block, m->length, [&](shm::Offset p, std::size_t n) {
+      for (; n > 0; p += per) {
+        const std::size_t chunk = std::min(per, n);
+        out->spans.push_back(ViewSpan{shm::Ref<const std::byte>{p}, chunk});
+        n -= chunk;
+      }
+    });
   }
   // No payload bytes cross the bus: the receiver reads in place.  Charge
   // only the per-fragment bookkeeping; the pages still count against the

@@ -656,6 +656,10 @@ std::vector<PoolShardInfo> Facility::pool_shard_infos() const {
     info.free_runs = runs.runs;
     info.largest_free_run = runs.largest;
     info.free_msgs = s[i].msgs.available();
+    info.link_stride = s[i].blocks.node_bytes();
+    info.payload_bytes = s[i].blocks.payload_bytes();
+    info.payload_lo = s[i].blocks.payload_base();
+    info.payload_hi = s[i].blocks.payload_end();
     info.lock_acquisitions =
         s[i].lock_acquisitions.load(std::memory_order_relaxed);
     info.lock_wait_ns = s[i].lock_wait_ns.load(std::memory_order_relaxed);

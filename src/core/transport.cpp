@@ -4,7 +4,8 @@
 
 namespace mpf {
 
-Status Transport::send_v(std::span<const ConstBuffer> iov) {
+Status Transport::send_v(std::span<const ConstBuffer> iov,
+                         std::uint64_t timeout_ns) {
   // Coalescing fallback for policies without native gather: one extra
   // copy into contiguous staging, then the plain send path.
   std::size_t total = 0;
@@ -18,7 +19,7 @@ Status Transport::send_v(std::span<const ConstBuffer> iov) {
     std::memcpy(staged.data() + at, b.data, b.len);
     at += b.len;
   }
-  return send(staged.data(), staged.size());
+  return send(staged.data(), staged.size(), timeout_ns);
 }
 
 Status Transport::receive_view(MsgView* out) {
@@ -43,8 +44,9 @@ Status LnvcTransport::send(const void* data, std::size_t len,
   return facility_->send(pid_, tx_, data, len, timeout_ns);
 }
 
-Status LnvcTransport::send_v(std::span<const ConstBuffer> iov) {
-  return facility_->send_v(pid_, tx_, iov);
+Status LnvcTransport::send_v(std::span<const ConstBuffer> iov,
+                             std::uint64_t timeout_ns) {
+  return facility_->send_v(pid_, tx_, iov, timeout_ns);
 }
 
 Status LnvcTransport::receive(void* buf, std::size_t cap, RecvResult* out) {

@@ -22,12 +22,13 @@ std::uint64_t bit_range(unsigned lo, std::size_t n) noexcept {
 }  // namespace
 
 void RunAllocator::carve(Arena& arena, std::size_t node_bytes,
-                         std::size_t count) {
+                         std::size_t count, std::size_t payload_bytes) {
   if (node_bytes < sizeof(Offset)) {
     throw std::invalid_argument("RunAllocator: node too small for a link word");
   }
   stride_ = (node_bytes + 7) & ~std::size_t{7};
   capacity_ = count;
+  payload_ = payload_bytes;
   if (count == 0) return;
   base_ = arena.allocate(stride_ * count, 64);
   for (std::size_t i = 0; i < count; ++i) {
@@ -38,6 +39,9 @@ void RunAllocator::carve(Arena& arena, std::size_t node_bytes,
   for (std::size_t w = 0; w < words(); ++w) {
     const std::size_t bits = std::min<std::size_t>(64, count - w * 64);
     m[w].store(bit_range(0, bits), std::memory_order_relaxed);
+  }
+  if (payload_bytes > 0) {
+    payload_base_ = arena.allocate(payload_bytes * count, 64);
   }
   count_.store(count, std::memory_order_release);
 }
@@ -101,6 +105,23 @@ Offset RunAllocator::pop_chain(Arena& arena, std::size_t want,
   lock_.unlock();
   if (tail != nullptr) *tail = last;
   return head;
+}
+
+RunAllocator::Run RunAllocator::run_at(const Arena& arena, Offset node,
+                                      std::size_t max) const noexcept {
+  const Offset last = std::min(end(), node + std::max<std::size_t>(max, 1) *
+                                                 stride_) - stride_;
+  Run run;
+  run.payload = payload_of(node);
+  run.blocks = 1;
+  Offset link = *static_cast<const Offset*>(arena.raw(node));
+  while (node != last && link == node + stride_) {
+    node = link;
+    link = *static_cast<const Offset*>(arena.raw(node));
+    ++run.blocks;
+  }
+  run.next = link;
+  return run;
 }
 
 std::size_t RunAllocator::find_run(const Arena& arena, std::size_t from,

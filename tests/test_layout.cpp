@@ -3,9 +3,11 @@
 // memory, and their documented invariants must hold mid-flight.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <type_traits>
 
 #include "mpf/core/facility.hpp"
+#include "mpf/core/invariants.hpp"
 #include "mpf/core/layout.hpp"
 #include "mpf/shm/region.hpp"
 
@@ -22,14 +24,10 @@ static_assert(std::is_trivially_destructible_v<LnvcDesc>);
 static_assert(std::is_trivially_destructible_v<FacilityHeader>);
 // The free list reuses the first 8 bytes of a node as its link word.
 static_assert(offsetof(Block, next) == 0);
+// A block's link node is its link word alone; its bytes live out of line.
+static_assert(sizeof(Block) == sizeof(shm::Offset));
 static_assert(offsetof(MsgHeader, next_msg) == 0);
 static_assert(offsetof(Connection, next) == 0);
-
-TEST(Layout, BlockDataFollowsHeader) {
-  alignas(8) std::byte raw[64] = {};
-  auto* b = ::new (raw) Block();
-  EXPECT_EQ(reinterpret_cast<std::byte*>(b) + sizeof(Block), b->data());
-}
 
 TEST(Layout, ConnectionKindPredicates) {
   Connection c{};
@@ -118,6 +116,39 @@ TEST_F(WhiteBox, Fig2StructureDuringMixedTraffic) {
   ASSERT_TRUE(d.msg_head);
   EXPECT_EQ(d.msg_head.off, d.fcfs_head.off)
       << "only the FCFS-unconsumed suffix may remain";
+}
+
+TEST_F(WhiteBox, BlockBytesLiveInThePayloadArray) {
+  LnvcId tx, rx;
+  ASSERT_EQ(f.open_send(0, "bytes", &tx), Status::ok);
+  ASSERT_EQ(f.open_receive(1, "bytes", Protocol::fcfs, &rx), Status::ok);
+  char msg[25];
+  for (int i = 0; i < 25; ++i) msg[i] = static_cast<char>('a' + i);
+  ASSERT_EQ(f.send(0, tx, msg, sizeof(msg)), Status::ok);
+  const shm::RunAllocator& runs = InvariantOracle::shard(f, 0).blocks;
+  EXPECT_EQ(runs.node_bytes(), sizeof(Block));
+  EXPECT_EQ(runs.payload_bytes(), 10u);
+  const auto* m = reinterpret_cast<const MsgHeader*>(
+      static_cast<std::byte*>(region.base()) + slot0()->msg_head.off);
+  ASSERT_EQ(m->nblocks, 3u);
+  // Block i of the chain holds bytes [10 i, 10 i + 10) of the message at
+  // payload_base + index * block_payload, outside the link range.
+  shm::Offset b = m->first_block;
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(runs.contains(b));
+    const shm::Offset p = runs.payload_of(b);
+    EXPECT_EQ(p, runs.payload_base() + runs.index_of(b) * 10);
+    EXPECT_FALSE(runs.contains(p));
+    const std::size_t n = i < 2 ? 10 : 5;
+    EXPECT_EQ(std::memcmp(static_cast<std::byte*>(region.base()) + p,
+                          msg + 10 * i, n),
+              0)
+        << "block " << i;
+    b = reinterpret_cast<const Block*>(
+            static_cast<std::byte*>(region.base()) + b)
+            ->next;
+  }
+  EXPECT_EQ(b, shm::kNullOffset);
 }
 
 TEST_F(WhiteBox, SequenceNumbersAreContiguousPerLnvc) {

@@ -320,11 +320,16 @@ TEST(ForkLockfree, SigkilledParkedReceiverPromotesSurvivor) {
     return info.parked_receivers;
   };
   const auto wait_parked = [&](std::uint32_t n) {
+    // Assert on the read that ended the loop: a survivor the reap's
+    // wake-all just unparked may read 0 on a second look before it
+    // re-parks.
     rt::WallTimer timer;
-    while (parked_receivers() != n && timer.elapsed_s() < 10.0) {
+    std::uint32_t seen = parked_receivers();
+    while (seen != n && timer.elapsed_s() < 10.0) {
       ::usleep(1000);
+      seen = parked_receivers();
     }
-    ASSERT_EQ(parked_receivers(), n);
+    ASSERT_EQ(seen, n);
   };
 
   const pid_t victim = spawn_receiver(1, 'X');   // killed before any message

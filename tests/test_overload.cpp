@@ -667,6 +667,47 @@ TEST(TimedTransport, RendezvousAdapterHonorsDeadline) {
   receiver.join();
 }
 
+TEST(TimedTransport, BoundedSendVIntoAFullTransportTimesOut) {
+  const std::vector<std::byte> payload(kMsg, std::byte{0x66});
+  const ConstBuffer iov[] = {{payload.data(), kMsg / 4},
+                             {payload.data() + kMsg / 4, kMsg - kMsg / 4}};
+  // LNVC: a one-block quota is full after one message (native gather).
+  Config c = quota_config();
+  shm::HeapRegion region(c.derived_arena_bytes());
+  Facility f = Facility::create(c, region);
+  LnvcId tx = kInvalidLnvc, rx = kInvalidLnvc;
+  ASSERT_EQ(f.open_send(0, "full", &tx), Status::ok);
+  ASSERT_EQ(f.open_receive(0, "full", Protocol::fcfs, &rx), Status::ok);
+  ASSERT_EQ(f.set_admission(0, tx, 1, 0, AdmissionPolicy::block),
+            Status::ok);
+  LnvcTransport lnvc(f, 0, tx, rx);
+  ASSERT_EQ(lnvc.send_v(iov, 0), Status::ok);
+  // Channel: a full ring (the coalescing default).
+  std::vector<std::byte> mem(Channel::footprint(256));
+  Channel ch = Channel::create(mem.data(), 256);
+  ChannelTransport channel(ch, ch);
+  while (channel.send_v(iov, 0) == Status::ok) {
+  }
+  // Rendezvous: no receiver ever arrives.
+  RendezvousCell cell{};
+  RendezvousTransport rendezvous{Rendezvous(cell), Rendezvous(cell)};
+
+  for (Transport* t : {static_cast<Transport*>(&lnvc),
+                       static_cast<Transport*>(&channel),
+                       static_cast<Transport*>(&rendezvous)}) {
+    rt::WallTimer timer;
+    EXPECT_EQ(t->send_v(iov, 10'000'000), Status::timed_out) << t->name();
+    EXPECT_GE(timer.elapsed_s(), 0.008) << t->name();
+    EXPECT_LT(timer.elapsed_s(), 2.0) << t->name();
+  }
+  EXPECT_EQ(f.stats().sends_timed_out, 1u);
+  // Room again: the bounded gather goes through.
+  RecvResult r;
+  std::byte in[kMsg];
+  ASSERT_EQ(lnvc.receive(in, sizeof(in), &r), Status::ok);
+  EXPECT_EQ(lnvc.send_v(iov, 10'000'000), Status::ok);
+}
+
 TEST(TimedTransport, LnvcAdapterRoutesThroughFacilityDeadline) {
   Config c = quota_config();
   shm::HeapRegion region(c.derived_arena_bytes());

@@ -2,10 +2,33 @@
 // helpers, and exception mapping.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "mpf/core/ports.hpp"
 #include "mpf/shm/region.hpp"
+
+// Heap allocations made by this thread while `g_count_news` is set: the
+// check that a steady-state multi-circuit receive allocates nothing.
+namespace {
+thread_local bool g_count_news = false;
+std::atomic<std::size_t> g_news{0};
+}  // namespace
+
+// The replacements pair malloc with free; GCC cannot see that through
+// inlined new/delete expressions and warns at every one.
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t n) {
+  if (g_count_news) g_news.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -139,6 +162,57 @@ TEST_F(PortsTest, DefaultConstructedPortsAreInert) {
   EXPECT_FALSE(rx.open());
   tx.close();
   rx.close();  // no facility: must not crash
+}
+
+TEST_F(PortsTest, ReceiveAnyForBuildsItsIdListWithoutTheHeap) {
+  Participant consumer(f, 1);
+  Participant producer(f, 0);
+  ReceivePort a = consumer.open_receive("a", Protocol::fcfs);
+  ReceivePort b = consumer.open_receive("b", Protocol::fcfs);
+  ReceivePort c = consumer.open_receive("c", Protocol::fcfs);
+  SendPort tx = producer.open_send("c");
+  ReceivePort* ports[] = {&a, &b, &c};
+  std::vector<std::byte> buf(32);
+  for (int i = 0; i < 4; ++i) {  // the first call may set up per-process state
+    tx.send("ping");
+    ReceivedAny r;
+    g_news.store(0);
+    g_count_news = true;
+    const bool got =
+        receive_any_for(f, 1, ports, buf, Facility::kNoTimeout, &r);
+    g_count_news = false;
+    ASSERT_TRUE(got);
+    EXPECT_EQ(r.index, 2u);
+    EXPECT_EQ(r.length, 4u);
+    if (i > 0) {
+      EXPECT_EQ(g_news.load(), 0u) << "call " << i;
+    }
+  }
+}
+
+TEST(PortsMany, ReceiveAnyForOverMoreThanTheInlineIdsWorks) {
+  Config config;
+  config.max_lnvcs = 80;
+  config.max_processes = 2;
+  shm::HeapRegion region(config.derived_arena_bytes());
+  Facility f = Facility::create(config, region);
+  Participant consumer(f, 1);
+  Participant producer(f, 0);
+  std::vector<ReceivePort> rx;
+  std::vector<ReceivePort*> ports;
+  for (int i = 0; i < 70; ++i) {
+    rx.push_back(consumer.open_receive("c" + std::to_string(i),
+                                       Protocol::fcfs));
+  }
+  for (ReceivePort& p : rx) ports.push_back(&p);
+  SendPort tx = producer.open_send("c69");
+  tx.send("last");
+  std::vector<std::byte> buf(16);
+  ReceivedAny r;
+  ASSERT_TRUE(receive_any_for(f, 1, ports, buf, 0, &r));
+  EXPECT_EQ(r.index, 69u);
+  EXPECT_EQ(r.length, 4u);
+  EXPECT_FALSE(receive_any_for(f, 1, ports, buf, 0, &r)) << "nothing left";
 }
 
 }  // namespace

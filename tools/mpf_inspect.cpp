@@ -77,6 +77,14 @@ void dump(const mpf::Facility& facility) {
         static_cast<unsigned long long>(s.refills),
         static_cast<unsigned long long>(s.flushes));
   }
+  // Block geometry: links in one array, payload bytes in a parallel one.
+  std::printf("%5s %8s %10s  %s\n", "shard", "link_B", "payload_B",
+              "payload_array");
+  for (const auto& s : facility.pool_shard_infos()) {
+    std::printf("%5u %8zu %10zu  [%#llx, %#llx)\n", s.index, s.link_stride,
+                s.payload_bytes, static_cast<unsigned long long>(s.payload_lo),
+                static_cast<unsigned long long>(s.payload_hi));
+  }
   const auto caches = facility.proc_cache_infos();
   if (!caches.empty()) {
     std::printf("%5s %9s %5s %10s %10s %8s %8s\n", "pid", "magazine", "msgs",
