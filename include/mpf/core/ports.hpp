@@ -411,7 +411,7 @@ inline bool receive_any_for(Facility& facility, ProcessId pid,
   // The id list lives on the stack for up to kInlineIds ports (no heap
   // allocation per call); only larger sets pay for a vector.
   constexpr std::size_t kInlineIds = 64;
-  std::array<LnvcId, kInlineIds> inline_ids;
+  std::array<LnvcId, kInlineIds> inline_ids{};
   std::vector<LnvcId> heap_ids;
   std::span<LnvcId> ids(inline_ids.data(),
                         std::min(ports.size(), kInlineIds));

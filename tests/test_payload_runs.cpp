@@ -7,6 +7,7 @@
 // two-node pool.  The oracle's geometry check closes the file.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstring>
 #include <string>
@@ -67,6 +68,30 @@ ChainShape shape_of(const Facility& f, shm::Offset b, std::size_t count) {
   return s;
 }
 
+/// Each block of the queued chain message `m` holds its slice of `msg`
+/// in the payload array of the shard that owns the block.
+void expect_bytes_in_place(const Facility& f, const detail::MsgHeader& m,
+                           const std::vector<char>& msg) {
+  const shm::Arena& arena = InvariantOracle::arena(f);
+  shm::Offset b = m.first_block;
+  for (std::size_t i = 0; i < m.nblocks; ++i) {
+    bool owned = false;
+    for (std::uint32_t k = 0; k < f.pool_shards(); ++k) {
+      const shm::RunAllocator& runs = InvariantOracle::shard(f, k).blocks;
+      if (!runs.contains(b)) continue;
+      owned = true;
+      const std::size_t n =
+          std::min<std::size_t>(kPayload, msg.size() - i * kPayload);
+      EXPECT_EQ(std::memcmp(arena.raw(runs.payload_of(b)),
+                            msg.data() + i * kPayload, n),
+                0)
+          << "block " << i << " of shard " << k;
+    }
+    EXPECT_TRUE(owned) << "block " << i << " lies in no shard";
+    b = *static_cast<const shm::Offset*>(arena.raw(b));
+  }
+}
+
 /// The head message queued on circuit `id`.
 const detail::MsgHeader& head_of(const Facility& f, LnvcId id) {
   return *InvariantOracle::msg_at(f, InvariantOracle::lnvc(f, id).msg_head.off);
@@ -123,6 +148,7 @@ TEST_F(PayloadRuns, SeamedChainRoundTripsThroughSend) {
   const detail::MsgHeader& m = head_of(f, rx);
   ASSERT_EQ(m.nblocks, 29u);
   EXPECT_EQ(shape_of(f, m.first_block, m.nblocks).seams, 3u);
+  expect_bytes_in_place(f, m, msg);
   std::vector<char> out(msg.size() + 8, '#');
   std::size_t len = 0;
   ASSERT_EQ(f.receive(1, rx, out.data(), out.size(), &len), Status::ok);
@@ -145,6 +171,7 @@ TEST_F(PayloadRuns, GatherPiecesCrossBlockAndRunBoundaries) {
   ASSERT_EQ(f.send_v(0, tx, iov), Status::ok);
   const detail::MsgHeader& m = head_of(f, rx);
   EXPECT_EQ(shape_of(f, m.first_block, m.nblocks).seams, 3u);
+  expect_bytes_in_place(f, m, msg);
   std::vector<char> out(msg.size());
   std::size_t len = 0;
   ASSERT_EQ(f.receive(1, rx, out.data(), out.size(), &len), Status::ok);
@@ -205,6 +232,7 @@ TEST(PayloadRunsShards, ChainStolenAcrossTwoShardsRoundTrips) {
   const ChainShape shape = shape_of(f, m.first_block, m.nblocks);
   EXPECT_EQ(shape.shards, (std::vector<std::uint32_t>{0, 1}));
   EXPECT_EQ(shape.seams, 1u);
+  expect_bytes_in_place(f, m, msg);
   // Copy-out, then (on a second copy) a view, both across the seam.
   std::vector<char> out(msg.size());
   std::size_t len = 0;
@@ -261,6 +289,7 @@ TEST(PayloadRunsPaths, TwoNodePoolRoundTrips) {
   EXPECT_EQ(shape_of(f, m.first_block, m.nblocks).shards,
             (std::vector<std::uint32_t>{1}))
       << "the body goes to the receiver's node";
+  expect_bytes_in_place(f, m, msg);
   std::vector<char> out(msg.size());
   std::size_t len = 0;
   ASSERT_EQ(f.receive(1, rx, out.data(), out.size(), &len), Status::ok);

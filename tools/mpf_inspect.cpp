@@ -66,7 +66,8 @@ void dump(const mpf::Facility& facility) {
   std::printf("%5s %10s %6s %8s %8s %12s %10s %8s %8s %8s\n", "shard",
               "blk_free", "runs", "max_run", "msg_free", "lock_acq",
               "wait_us", "steals", "refills", "flushes");
-  for (const auto& s : facility.pool_shard_infos()) {
+  const auto shards = facility.pool_shard_infos();
+  for (const auto& s : shards) {
     std::printf(
         "%5u %6zu/%-3zu %6zu %8zu %8zu %12llu %10.1f %8llu %8llu %8llu\n",
         s.index, s.free_blocks, s.block_capacity, s.free_runs,
@@ -80,7 +81,7 @@ void dump(const mpf::Facility& facility) {
   // Block geometry: links in one array, payload bytes in a parallel one.
   std::printf("%5s %8s %10s  %s\n", "shard", "link_B", "payload_B",
               "payload_array");
-  for (const auto& s : facility.pool_shard_infos()) {
+  for (const auto& s : shards) {
     std::printf("%5u %8zu %10zu  [%#llx, %#llx)\n", s.index, s.link_stride,
                 s.payload_bytes, static_cast<unsigned long long>(s.payload_lo),
                 static_cast<unsigned long long>(s.payload_hi));
