@@ -11,6 +11,7 @@
 #include "mpf/core/ports.hpp"
 #include "mpf/core/rendezvous.hpp"
 #include "mpf/shm/region.hpp"
+#include "mpf/sync/parker.hpp"
 #include "mpf/sync/spinlock.hpp"
 
 namespace {
@@ -101,6 +102,33 @@ void BM_RendezvousHandoff(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RendezvousHandoff)->Threads(2)->UseRealTime();
+
+/// Wake-to-return hand-off between two threads through two WaitNodes with
+/// the default spin.  Each thread's iteration is one round trip; the time
+/// column (iterations summed over both threads) and `ns_per_handoff` are
+/// per hand-off.  Iteration i waits for the i-th wake of its node, so
+/// neither side can miss a wake that lands before it parks.
+void BM_ParkHandoff(benchmark::State& state) {
+  static sync::WaitNode* nodes = nullptr;  // thread i parks on nodes[i]
+  if (state.thread_index() == 0) nodes = new sync::WaitNode[2];
+  const int me = state.thread_index();
+  std::uint32_t expected = 0;
+  for (auto _ : state) {
+    if (me == 0) sync::Parker::wake(nodes[1]);
+    benchmark::DoNotOptimize(sync::Parker::park(
+        nodes[me], expected, sync::kNoParkDeadline, sync::kDefaultParkSpinNs));
+    if (me == 1) sync::Parker::wake(nodes[0]);
+    expected += sync::Parker::kStep;
+  }
+  if (me == 0) {
+    state.counters["ns_per_handoff"] = benchmark::Counter(
+        2.0 * static_cast<double>(state.iterations()),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+    delete[] nodes;
+    nodes = nullptr;
+  }
+}
+BENCHMARK(BM_ParkHandoff)->Threads(2)->UseRealTime();
 
 /// Spinlock cost: uncontended acquire/release.
 template <typename Lock>

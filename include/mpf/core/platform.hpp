@@ -14,7 +14,6 @@
 //     time — used to regenerate the paper's figures.
 #pragma once
 
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 
@@ -239,10 +238,7 @@ class NativePlatform final : public Platform {
   }
 
   [[nodiscard]] std::uint64_t now_ns() const override {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
+    return sync::steady_now_ns();
   }
 
   void yield() override { sync::cpu_relax(); }

@@ -1,12 +1,16 @@
-// Exponential backoff for spin loops.
+// Exponential backoff for lock acquisition.
 //
 // The Sequent Balance 21000 relied on hardware test-and-set locks with
 // software backoff to keep the shared bus usable under contention; this is
-// the modern equivalent.  Lock acquisition drives its retry loop through
-// `Backoff`, which progresses from cheap CPU pause instructions to
-// scheduler yields; it never sleeps — waiting for an event is
-// Parker::park's job (parker.hpp).  The object lives on the spinner's
-// stack, so it is safe inside memory shared between processes.
+// the modern equivalent.  `Backoff` has one job, lock contention: the
+// retry loops of SpinLock::lock_tagged and Platform::lock_robust, where
+// every contender's try writes the lock's line, so contenders must back
+// off ever longer.  It progresses from cheap CPU pause instructions to
+// scheduler yields and never sleeps.  Waiting for a word that one waker
+// writes (an event, a barrier's sense) is spin_poll's and Parker::park's
+// job (parker.hpp): there only the waker writes, so the poll keeps a short
+// fixed cadence instead.  The object lives on the spinner's stack, so it
+// is safe inside memory shared between processes.
 #pragma once
 
 #include <cstdint>
@@ -25,8 +29,8 @@ inline void cpu_relax() noexcept {
 #endif
 }
 
-/// Stateful exponential backoff.  Construct once per spin, call `pause()`
-/// each unsuccessful retry, and `reset()` after a success if reusing.
+/// Stateful exponential backoff.  Construct once per acquisition and call
+/// `pause()` after each failed try.
 class Backoff {
  public:
   /// cpu_relax() rounds before pausing becomes a scheduler yield; tuned
@@ -44,11 +48,6 @@ class Backoff {
     }
     ++round_;
   }
-
-  /// Number of pauses taken so far (useful for contention statistics).
-  [[nodiscard]] std::uint32_t rounds() const noexcept { return round_; }
-
-  void reset() noexcept { round_ = 0; }
 
  private:
   std::uint32_t round_ = 0;

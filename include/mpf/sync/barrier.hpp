@@ -8,7 +8,7 @@
 #include <atomic>
 #include <cstdint>
 
-#include "mpf/sync/backoff.hpp"
+#include "mpf/sync/parker.hpp"
 
 namespace mpf::sync {
 
@@ -39,10 +39,10 @@ class SenseBarrier {
       sense_.store(my_sense ^ 1u, std::memory_order_release);
       return;
     }
-    Backoff backoff;
-    while (sense_.load(std::memory_order_acquire) == my_sense) {
-      backoff.pause();
-    }
+    // The last arrival writes the sense once, like a Parker's waker.
+    spin_poll(
+        [&] { return sense_.load(std::memory_order_acquire) != my_sense; },
+        steady_now_ns(), kNoParkDeadline);
   }
 
   [[nodiscard]] std::uint32_t participants() const noexcept {

@@ -18,7 +18,8 @@
 // Three backends share this contract:
 //   * futex(2) on Linux thread/fork platforms — the word is FUTEX_WAIT-ed
 //     directly (no FUTEX_PRIVATE_FLAG, so it works across fork in shared
-//     memory) after a spin phase bounded by Config::park_spin_ns;
+//     memory) after a spin phase (spin_poll) bounded by
+//     Config::park_spin_ns;
 //   * a portable spin-then-nap loop elsewhere;
 //   * a virtual wait resource in SimPlatform (see Platform::park), where a
 //     parked simulated process consumes zero virtual CPU.
@@ -28,7 +29,11 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <thread>
+
+#include "mpf/sync/backoff.hpp"
 
 namespace mpf::sync {
 
@@ -53,6 +58,50 @@ inline constexpr std::uint64_t kNoParkDeadline = ~std::uint64_t{0};
 /// Spin budget of a wait whose caller names none; the same 16 ms as the
 /// default Config::park_spin_ns.
 inline constexpr std::uint64_t kDefaultParkSpinNs = 16'000'000;
+
+/// std::chrono::steady_clock nanoseconds: the clock of park deadlines and
+/// NativePlatform::now_ns.
+[[nodiscard]] inline std::uint64_t steady_now_ns() noexcept {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
+/// Most PAUSEs between two reads of a polled word (about 0.15 µs at
+/// 17–20 ns a PAUSE, 0.5 µs where PAUSE takes 140 cycles).
+inline constexpr std::uint32_t kSpinPollPauses = 8;
+
+/// Spin time after which spin_poll yields between reads instead of
+/// pausing: a wait that long is no pipeline hand-off, and a spinner
+/// should let a runnable peer (perhaps its waker) have the CPU.
+inline constexpr std::uint64_t kSpinPollYieldNs = 64'000;
+
+/// The spin phase of a wait for a word that one waker writes (a Parker
+/// epoch, a barrier's sense): read it through `done` after clusters of
+/// 1, 2, 4 and then kSpinPollPauses PAUSEs, and from `start_ns` +
+/// kSpinPollYieldNs on after every yield.  Returns true once `done()`
+/// holds, false once the steady clock reaches `until_ns`; `done` is read
+/// at least once.  The cadence stops growing at kSpinPollPauses, unlike a
+/// lock's Backoff: every lock contender writes the lock's line, while
+/// only the waker writes a polled word, so a short cadence adds no
+/// writes and sees the waker's within one cluster.
+template <typename Done>
+bool spin_poll(Done&& done, std::uint64_t start_ns,
+               std::uint64_t until_ns) noexcept {
+  const std::uint64_t yield_at = start_ns + kSpinPollYieldNs;
+  std::uint32_t pauses = 1;
+  for (std::uint64_t now_ns = start_ns;; now_ns = steady_now_ns()) {
+    if (done()) return true;
+    if (now_ns >= until_ns) return false;
+    if (now_ns < yield_at) {
+      for (std::uint32_t i = 0; i < pauses; ++i) cpu_relax();
+      if (pauses < kSpinPollPauses) pauses *= 2;
+    } else {
+      std::this_thread::yield();
+    }
+  }
+}
 
 class Parker {
  public:

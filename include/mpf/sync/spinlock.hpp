@@ -54,16 +54,6 @@ class SpinLock {
     }
   }
 
-  /// Like lock(), but reports how many backoff rounds were needed.  The MPF
-  /// core uses this to surface contention statistics.
-  std::uint32_t lock_counting(std::uint32_t tag = kAnonymous) noexcept {
-    Backoff backoff;
-    for (;;) {
-      if (try_lock_tagged(tag)) return backoff.rounds();
-      backoff.pause();
-    }
-  }
-
   [[nodiscard]] bool try_lock() noexcept { return try_lock_tagged(kAnonymous); }
 
   [[nodiscard]] bool try_lock_tagged(std::uint32_t tag) noexcept {

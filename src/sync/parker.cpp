@@ -9,11 +9,8 @@
 // deadline.
 #include "mpf/sync/parker.hpp"
 
-#include <chrono>
 #include <climits>
 #include <ctime>
-
-#include "mpf/sync/backoff.hpp"
 
 #if defined(__linux__)
 #include <linux/futex.h>
@@ -24,12 +21,6 @@
 namespace mpf::sync {
 
 namespace {
-
-std::uint64_t steady_now_ns() noexcept {
-  const auto now = std::chrono::steady_clock::now().time_since_epoch();
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(now).count());
-}
 
 #if defined(__linux__)
 long futex_call(std::atomic<std::uint32_t>* cell, int op, std::uint32_t val,
@@ -92,8 +83,9 @@ bool Parker::has_futex() noexcept {
 
 bool Parker::park(WaitNode& node, std::uint32_t expected,
                   std::uint64_t deadline_ns, std::uint64_t spin_ns) noexcept {
-  // Phase 1: spin (pause clusters, then yields) — pipeline hand-offs
-  // complete at microsecond cadence and must not pay a syscall.  Waking
+  // Phase 1: spin_poll (a read every ≤8 PAUSEs, yields after 64 µs) —
+  // pipeline hand-offs complete at microsecond cadence, must not pay a
+  // syscall, and must be seen within a fraction of a microsecond.  Waking
   // a sleeper can cost milliseconds (a halted vCPU on a loaded host), and
   // in a lock-step computation a late wake-up pushes the peers past short
   // spins into sleeps of their own, so the late wake-ups chain.  A thread
@@ -105,11 +97,9 @@ bool Parker::park(WaitNode& node, std::uint32_t expected,
   if (spin != 0) {
     std::uint64_t spin_until = start + spin;
     if (spin_until > deadline_ns) spin_until = deadline_ns;
-    Backoff backoff;
-    do {
-      if (moved(node, expected)) return true;
-      backoff.pause();
-    } while (steady_now_ns() < spin_until);
+    if (spin_poll([&] { return moved(node, expected); }, start, spin_until)) {
+      return true;
+    }
   }
   // Phase 2: sleep until the epoch moves or the deadline passes.  Expiry
   // is decided against the clock, so a wait never ends early.

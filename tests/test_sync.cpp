@@ -8,7 +8,6 @@
 #include <thread>
 #include <vector>
 
-#include "mpf/sync/backoff.hpp"
 #include "mpf/sync/barrier.hpp"
 #include "mpf/sync/parker.hpp"
 #include "mpf/sync/spinlock.hpp"
@@ -50,12 +49,6 @@ TEST(SpinLock, TryLock) {
   lock.unlock();
 }
 
-TEST(SpinLock, LockCountingReportsZeroUncontended) {
-  SpinLock lock;
-  EXPECT_EQ(lock.lock_counting(), 0u);
-  lock.unlock();
-}
-
 TEST(SenseBarrier, SynchronizesPhases) {
   constexpr int kThreads = 5;
   constexpr int kPhases = 200;
@@ -81,13 +74,6 @@ TEST(SenseBarrier, SingleParticipantNeverBlocks) {
   SenseBarrier barrier(1);
   for (int i = 0; i < 10; ++i) barrier.arrive_and_wait();
   EXPECT_EQ(barrier.participants(), 1u);
-}
-
-std::uint64_t steady_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
 }
 
 TEST(EventCount, NotifyWakesWaiter) {
@@ -125,9 +111,10 @@ TEST(Parker, DeadlineExpiresNeverEarly) {
        {std::uint64_t{1}, std::uint64_t{700}, std::uint64_t{20'000},
         std::uint64_t{1'000'000}, std::uint64_t{30'000'000}}) {
     for (const std::uint64_t spin_ns : {std::uint64_t{0}, 2 * wait_ns}) {
-      const std::uint64_t deadline = steady_ns() + wait_ns;
+      const std::uint64_t deadline = steady_now_ns() + wait_ns;
       EXPECT_FALSE(Parker::park(node, ticket, deadline, spin_ns));
-      EXPECT_GE(steady_ns(), deadline) << wait_ns << " ns, spin " << spin_ns;
+      EXPECT_GE(steady_now_ns(), deadline)
+          << wait_ns << " ns, spin " << spin_ns;
     }
   }
   // A wake before the deadline ends the wait early with true.
@@ -135,7 +122,8 @@ TEST(Parker, DeadlineExpiresNeverEarly) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     Parker::wake(node);
   });
-  EXPECT_TRUE(Parker::park(node, ticket, steady_ns() + 5'000'000'000ull, 0));
+  EXPECT_TRUE(
+      Parker::park(node, ticket, steady_now_ns() + 5'000'000'000ull, 0));
   waker.join();
 }
 
@@ -147,7 +135,7 @@ TEST(Parker, WakeAllRousesEverySleeper) {
   std::vector<std::thread> sleepers;
   for (int i = 0; i < kSleepers; ++i) {
     sleepers.emplace_back([&] {
-      if (Parker::park(node, ticket, steady_ns() + 10'000'000'000ull, 0)) {
+      if (Parker::park(node, ticket, steady_now_ns() + 10'000'000'000ull, 0)) {
         woken.fetch_add(1);
       }
     });
@@ -184,7 +172,7 @@ TEST(Parker, WakeRacingTheSleeperBitNeverHangs) {
   for (std::uint32_t i = 1; i <= kRounds; ++i) {
     const std::uint32_t ticket = Parker::prepare(node);
     round.store(i, std::memory_order_release);
-    if (!Parker::park(node, ticket, steady_ns() + 10'000'000'000ull, 0)) {
+    if (!Parker::park(node, ticket, steady_now_ns() + 10'000'000'000ull, 0)) {
       ++lost;
       break;
     }
@@ -206,7 +194,7 @@ TEST(Parker, SpinsTheFullBudgetOnlyAfterASleepItWouldHaveSaved) {
       const std::uint32_t ticket = Parker::prepare(node);
       started.store(i + 1);
       const std::uint64_t deadline =
-          i == 2 ? steady_ns() + 10'000'000 : kNoParkDeadline;
+          i == 2 ? steady_now_ns() + 10'000'000 : kNoParkDeadline;
       EXPECT_EQ(Parker::park(node, ticket, deadline, kSpinNs), i != 2) << i;
     }
   });
@@ -214,11 +202,11 @@ TEST(Parker, SpinsTheFullBudgetOnlyAfterASleepItWouldHaveSaved) {
     while (started.load() < park) std::this_thread::yield();
   };
   auto expect_short_spin = [&] {
-    const std::uint64_t t0 = steady_ns();
+    const std::uint64_t t0 = steady_now_ns();
     while ((node.epoch.load() & Parker::kSleeper) == 0) {
       std::this_thread::yield();
     }
-    EXPECT_LT(steady_ns() - t0, kSpinNs / 2);
+    EXPECT_LT(steady_now_ns() - t0, kSpinNs / 2);
     Parker::wake(node);
   };
   await_start(1);  // fresh thread: short spin, then a sleep ended early
@@ -232,13 +220,52 @@ TEST(Parker, SpinsTheFullBudgetOnlyAfterASleepItWouldHaveSaved) {
   parker.join();
 }
 
-TEST(Backoff, RoundsGrow) {
-  Backoff backoff;
-  EXPECT_EQ(backoff.rounds(), 0u);
-  for (int i = 0; i < 10; ++i) backoff.pause();
-  EXPECT_EQ(backoff.rounds(), 10u);
-  backoff.reset();
-  EXPECT_EQ(backoff.rounds(), 0u);
+TEST(Parker, SpinCatchesAMicrosecondHandOff) {
+  // A wake 50 µs into a park lands in its spin phase: the parker never
+  // flags itself a sleeper.  Park 1 sleeps and is woken at once, which
+  // earns the thread the full 16 ms spin, as a pipeline thread has it;
+  // park 2 is the hand-off.  The waker watches the word until it wakes.
+  WaitNode node;
+  std::atomic<int> started{0};
+  std::thread parker([&] {
+    for (int i = 1; i <= 2; ++i) {
+      const std::uint32_t ticket = Parker::prepare(node);
+      started.store(i);
+      const std::uint64_t deadline = steady_now_ns() + 10'000'000'000ull;
+      EXPECT_TRUE(Parker::park(node, ticket, deadline, kDefaultParkSpinNs))
+          << i;
+    }
+  });
+  while (started.load() < 1) std::this_thread::yield();
+  while ((node.epoch.load() & Parker::kSleeper) == 0) {
+    std::this_thread::yield();
+  }
+  Parker::wake(node);
+  while (started.load() < 2) std::this_thread::yield();
+  bool flagged = false;
+  const std::uint64_t wake_at = steady_now_ns() + 50'000;
+  while (steady_now_ns() < wake_at) {
+    flagged |= (node.epoch.load() & Parker::kSleeper) != 0;
+  }
+  Parker::wake(node);
+  parker.join();
+  EXPECT_FALSE(flagged);
+}
+
+TEST(SpinPoll, ReturnsOnceDoneAndNeverBeforeItsEnd) {
+  int reads = 0;
+  EXPECT_TRUE(spin_poll([&] { return ++reads == 5; }, steady_now_ns(),
+                        kNoParkDeadline));
+  EXPECT_EQ(reads, 5);
+  // An end already passed still reads the word once.
+  reads = 0;
+  EXPECT_FALSE(spin_poll([&] { return ++reads, false; }, steady_now_ns(), 0));
+  EXPECT_EQ(reads, 1);
+  // A word that never moves: false, through the yield phase, and never
+  // before the end.
+  const std::uint64_t end = steady_now_ns() + 2 * kSpinPollYieldNs;
+  EXPECT_FALSE(spin_poll([] { return false; }, steady_now_ns(), end));
+  EXPECT_GE(steady_now_ns(), end);
 }
 
 }  // namespace
