@@ -142,6 +142,23 @@ void BM_LockUncontended(benchmark::State& state) {
 }
 BENCHMARK(BM_LockUncontended<mpf::sync::SpinLock>);
 
+/// Robust lock cost: uncontended acquire through the native platform with a
+/// facility-like RobustOp (tagged, probing, 100 ms suspicion), then release.
+void BM_LockRobustUncontended(benchmark::State& state) {
+  sync::SpinLock lock;
+  Platform& p = native_platform();
+  for (auto _ : state) {
+    RobustOp op;
+    op.tag = sync::SpinLock::tag_for(0);
+    op.alive = [](void*, std::uint32_t) { return true; };
+    op.suspicion_ns = 100'000'000;
+    p.lock_robust(lock, op);
+    benchmark::DoNotOptimize(&lock);
+    p.unlock(lock);
+  }
+}
+BENCHMARK(BM_LockRobustUncontended);
+
 /// Spinlock cost: contended increment from several threads.
 template <typename Lock>
 void BM_LockContended(benchmark::State& state) {

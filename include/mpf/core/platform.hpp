@@ -61,20 +61,28 @@ class Platform {
   virtual void lock(sync::SpinLock& cell) = 0;
   virtual void unlock(sync::SpinLock& cell) = 0;
 
-  /// Robust acquisition: spin tagged with `op.tag`; when the same
+  /// Robust acquisition: take the lock tagged with `op.tag`; when the same
   /// (holder, seq) pair has been observed past `op.suspicion_ns` and the
   /// probe says that holder is dead, seize the lock (setting `op.seized`).
-  /// On return the caller holds the lock either way.  The base
-  /// implementation spins on real/virtual time and suits any platform
-  /// whose lock() spins on the cell itself; platforms that queue waiters
-  /// elsewhere (the simulator) override it.
+  /// On return the caller holds the lock either way.
+  ///
+  /// An uncontended acquisition is one try and reads no clock (a steady
+  /// clock read costs about twice the CAS).  While Backoff still pauses,
+  /// retries read no clock either; the grace period is armed by the first
+  /// clock read once Backoff yields, and every hand-off disarms it so the
+  /// next holder gets a full one.  Seizure thus never comes sooner than
+  /// `op.suspicion_ns` after the call began, and at most the pause phase
+  /// later.  The base implementation spins on real/virtual time and suits
+  /// any platform whose lock() spins on the cell itself; platforms that
+  /// queue waiters elsewhere (the simulator) override it.
   virtual void lock_robust(sync::SpinLock& cell, RobustOp& op) {
+    if (cell.try_lock_tagged(op.tag)) return;
     sync::Backoff backoff;
     std::uint32_t seen_tag = cell.holder_tag();
     std::uint32_t seen_seq = cell.seq();
-    std::uint64_t deadline =
-        op.suspicion_ns ? now_ns() + op.suspicion_ns : 0;
+    std::uint64_t deadline = 0;  // 0: grace period not armed
     for (;;) {
+      backoff.pause();
       if (cell.try_lock_tagged(op.tag)) return;
       const std::uint32_t tag = cell.holder_tag();
       const std::uint32_t seq = cell.seq();
@@ -83,19 +91,27 @@ class Platform {
         // period.
         seen_tag = tag;
         seen_seq = seq;
-        if (op.suspicion_ns) deadline = now_ns() + op.suspicion_ns;
-      } else if (deadline != 0 && tag != sync::SpinLock::kFree &&
-                 now_ns() >= deadline) {
-        if (op.alive != nullptr && !op.alive(op.ctx, tag) &&
-            cell.seize(tag, op.tag)) {
-          op.seized = true;
-          op.seized_from = tag;
-          return;
-        }
-        // False suspicion or lost the seizure race: re-arm.
-        deadline = now_ns() + op.suspicion_ns;
+        deadline = 0;
+        continue;
       }
-      backoff.pause();
+      if (op.suspicion_ns == 0 || !backoff.yielding() ||
+          tag == sync::SpinLock::kFree) {
+        continue;
+      }
+      const std::uint64_t now = now_ns();
+      if (deadline == 0) {
+        deadline = now + op.suspicion_ns;
+        continue;
+      }
+      if (now < deadline) continue;
+      if (op.alive != nullptr && !op.alive(op.ctx, tag) &&
+          cell.seize(tag, op.tag)) {
+        op.seized = true;
+        op.seized_from = tag;
+        return;
+      }
+      // False suspicion or lost the seizure race: re-arm.
+      deadline = now + op.suspicion_ns;
     }
   }
 

@@ -6,11 +6,13 @@
 // retry loops of SpinLock::lock_tagged and Platform::lock_robust, where
 // every contender's try writes the lock's line, so contenders must back
 // off ever longer.  It progresses from cheap CPU pause instructions to
-// scheduler yields and never sleeps.  Waiting for a word that one waker
-// writes (an event, a barrier's sense) is spin_poll's and Parker::park's
-// job (parker.hpp): there only the waker writes, so the poll keeps a short
-// fixed cadence instead.  The object lives on the spinner's stack, so it
-// is safe inside memory shared between processes.
+// scheduler yields and never sleeps.  lock_robust reads no clock until
+// `yielding()`, so a lock held for less than the pause phase costs it no
+// timekeeping.  Waiting for a word that one waker writes (an event, a
+// barrier's sense) is spin_poll's and Parker::park's job (parker.hpp):
+// there only the waker writes, so the poll keeps a short fixed cadence
+// instead.  The object lives on the spinner's stack, so it is safe inside
+// memory shared between processes.
 #pragma once
 
 #include <cstdint>
@@ -47,6 +49,11 @@ class Backoff {
       std::this_thread::yield();
     }
     ++round_;
+  }
+
+  /// True once the pause phase is over and pause() yields.
+  [[nodiscard]] bool yielding() const noexcept {
+    return round_ >= kSpinRounds;
   }
 
  private:

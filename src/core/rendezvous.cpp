@@ -39,18 +39,12 @@ Status Rendezvous::send_impl(std::span<const std::byte> payload,
   // send returns).  Receivers copy and flip the state to 2 while holding
   // the cell lock, so observing state == 1 here (lock held) means no copy
   // is in progress and an expired offer can be withdrawn safely.
-  if (!await_state(2, deadline_ns)) {
-    c.state = 0;
-    c.sender_buf = nullptr;
-    p.notify_all(c.cond);  // admit the next offer
-    p.unlock(c.lock);
-    return Status::timed_out;
-  }
+  const bool copied = await_state(2, deadline_ns);
   c.state = 0;
   c.sender_buf = nullptr;
-  p.notify_all(c.cond);  // admit the next offer
   p.unlock(c.lock);
-  return Status::ok;
+  p.notify_all(c.cond);  // admit the next offer
+  return copied ? Status::ok : Status::timed_out;
 }
 
 void Rendezvous::send(std::span<const std::byte> payload) {
@@ -76,8 +70,8 @@ std::size_t Rendezvous::receive(std::span<std::byte> buffer,
   p.touch(c.length);
   c.copied = copy;
   c.state = 2;
-  p.notify_all(c.cond);
   p.unlock(c.lock);
+  p.notify_all(c.cond);
   return copy;
 }
 

@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -115,6 +116,130 @@ TEST(RobustLock, ZeroSuspicionNeverSeizes) {
   });
   sim.run();
   EXPECT_TRUE(waiter_ran);
+}
+
+// ---- robust locks on the native base path -------------------------------
+
+/// The base Platform::lock_robust over real spinlocks, with a wall clock
+/// that counts its reads.
+class ClockCountingPlatform final : public Platform {
+ public:
+  void lock(sync::SpinLock& cell) override { cell.lock(); }
+  void unlock(sync::SpinLock& cell) override { cell.unlock(); }
+  bool wait_for(sync::SpinLock&, sync::EventCount&, std::uint64_t,
+                RobustOp*) override {
+    ADD_FAILURE() << "lock_robust must not wait";
+    return false;
+  }
+  void notify_all(sync::EventCount&) override {}
+  [[nodiscard]] std::uint64_t now_ns() const override {
+    clock_reads.fetch_add(1, std::memory_order_relaxed);
+    return sync::steady_now_ns();
+  }
+  [[nodiscard]] const char* name() const noexcept override {
+    return "clock-counting";
+  }
+
+  mutable std::atomic<std::uint64_t> clock_reads{0};
+};
+
+/// Liveness probe whose verdict is fixed; counts how often it was asked.
+struct Probe {
+  bool verdict_alive;
+  std::atomic<int> calls{0};
+
+  static bool ask(void* ctx, std::uint32_t) {
+    auto* self = static_cast<Probe*>(ctx);
+    self->calls.fetch_add(1, std::memory_order_relaxed);
+    return self->verdict_alive;
+  }
+};
+
+RobustOp probing_op(Probe& probe, std::uint64_t suspicion_ns) {
+  RobustOp op;
+  op.tag = sync::SpinLock::tag_for(1);
+  op.alive = &Probe::ask;
+  op.ctx = &probe;
+  op.suspicion_ns = suspicion_ns;
+  return op;
+}
+
+TEST(NativeRobustLock, FreeCellReadsNoClock) {
+  ClockCountingPlatform platform;
+  Probe probe{false};
+  sync::SpinLock cell;
+  RobustOp op = probing_op(probe, 100'000'000);
+  platform.lock_robust(cell, op);
+  EXPECT_EQ(platform.clock_reads.load(), 0u);
+  EXPECT_EQ(cell.holder_tag(), op.tag);
+  EXPECT_FALSE(op.seized);
+  EXPECT_EQ(probe.calls.load(), 0);
+  cell.unlock();
+}
+
+TEST(NativeRobustLock, DeadHolderSeizedNoSoonerThanSuspicion) {
+  constexpr std::uint64_t kSuspicionNs = 2'000'000;
+  ClockCountingPlatform platform;
+  Probe probe{false};
+  sync::SpinLock cell;
+  cell.lock_tagged(sync::SpinLock::tag_for(7));  // never released
+  RobustOp op = probing_op(probe, kSuspicionNs);
+  const std::uint64_t began = sync::steady_now_ns();
+  platform.lock_robust(cell, op);
+  const std::uint64_t took = sync::steady_now_ns() - began;
+  EXPECT_TRUE(op.seized);
+  EXPECT_EQ(op.seized_from, sync::SpinLock::tag_for(7));
+  EXPECT_EQ(cell.holder_tag(), op.tag);
+  EXPECT_GE(took, kSuspicionNs);
+  EXPECT_GE(probe.calls.load(), 1);
+  cell.unlock();
+}
+
+TEST(NativeRobustLock, LiveSlowHolderIsNeverSeized) {
+  constexpr std::uint64_t kSuspicionNs = 2'000'000;
+  ClockCountingPlatform platform;
+  Probe probe{true};
+  sync::SpinLock cell;
+  cell.lock_tagged(sync::SpinLock::tag_for(7));
+  std::atomic<bool> released{false};
+  bool released_before_acquire = false;
+  RobustOp op = probing_op(probe, kSuspicionNs);
+  std::atomic<bool> entered{false};
+  std::thread waiter([&] {
+    entered.store(true);
+    platform.lock_robust(cell, op);
+    released_before_acquire = released.load();
+    cell.unlock();
+  });
+  while (!entered.load()) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::nanoseconds(3 * kSuspicionNs));
+  released.store(true);
+  cell.unlock();
+  waiter.join();
+  EXPECT_FALSE(op.seized);
+  EXPECT_TRUE(released_before_acquire);
+  EXPECT_GE(probe.calls.load(), 1);
+}
+
+TEST(NativeRobustLock, ZeroSuspicionReadsNoClockAndNeverSeizes) {
+  ClockCountingPlatform platform;
+  Probe probe{false};  // would condemn the holder if it were asked
+  sync::SpinLock cell;
+  cell.lock_tagged(sync::SpinLock::tag_for(7));
+  RobustOp op = probing_op(probe, 0);
+  std::atomic<bool> entered{false};
+  std::thread waiter([&] {
+    entered.store(true);
+    platform.lock_robust(cell, op);
+    cell.unlock();
+  });
+  while (!entered.load()) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  cell.unlock();
+  waiter.join();
+  EXPECT_FALSE(op.seized);
+  EXPECT_EQ(platform.clock_reads.load(), 0u);
+  EXPECT_EQ(probe.calls.load(), 0);
 }
 
 // ---- reap semantics (native, via declare_dead) --------------------------
